@@ -156,10 +156,9 @@ void BM_SchedulerScheduleDispatchTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleDispatchTraced);
 
-// TCP-timer re-arm pattern: schedule then cancel without dispatching. With
-// the generation-checked slots this is two O(1) slot ops plus one lazy heap
-// node; with the old unordered_set lazy cancel it was a rehashing insert on
-// every cancel.
+// Schedule then cancel without dispatching. Cancel removes the node at
+// once, so the heap stays empty and each iteration is a slot acquire and
+// release plus a push and a removal at the heap's last index.
 void BM_ScheduleCancelChurn(benchmark::State& state) {
   sim::Scheduler sched;
   sim::TimeNs t = 0;
@@ -171,6 +170,25 @@ void BM_ScheduleCancelChurn(benchmark::State& state) {
   sched.run();
 }
 BENCHMARK(BM_ScheduleCancelChurn);
+
+// The TCP-timer re-arm pattern (TcpSender::arm_rto on every ACK): cancel
+// the armed far-future timer and arm a new one, against 1k standing events.
+// The heap stays at 1,001 nodes however long the benchmark runs.
+void BM_ScheduleCancelChurnBacklog1k(benchmark::State& state) {
+  sim::Scheduler sched;
+  for (int i = 0; i < 1000; ++i) {
+    sched.schedule_at(1'000'000 + i, [] {});
+  }
+  sim::TimeNs t = 0;
+  sim::EventId timer = sim::kInvalidEventId;
+  for (auto _ : state) {
+    sched.cancel(timer);
+    timer = sched.schedule_at(2'000'000 + ++t, [] {});
+    benchmark::DoNotOptimize(timer);
+  }
+  sched.run();
+}
+BENCHMARK(BM_ScheduleCancelChurnBacklog1k);
 
 // Dispatch against a standing backlog so sift operations have real depth.
 void BM_SchedulerDispatchDepth1k(benchmark::State& state) {

@@ -19,9 +19,14 @@ std::uint32_t Scheduler::acquire_slot() {
 
 void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.gen += 2;  // stays odd; invalidates outstanding ids and stale heap nodes
+  s.gen += 2;  // stays odd; invalidates outstanding ids
   s.next_free = free_head_;
   free_head_ = slot;
+}
+
+void Scheduler::place(std::size_t i, const HeapNode& node) {
+  heap_[i] = node;
+  slots_[node.slot].heap_pos = static_cast<std::uint32_t>(i);
 }
 
 void Scheduler::sift_up(std::size_t i) {
@@ -29,10 +34,10 @@ void Scheduler::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(node, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = node;
+  place(i, node);
 }
 
 void Scheduler::sift_down(std::size_t i) {
@@ -47,47 +52,45 @@ void Scheduler::sift_down(std::size_t i) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], node)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = node;
+  place(i, node);
 }
 
-void Scheduler::pop_top() {
-  heap_.front() = heap_.back();
+std::uint32_t Scheduler::remove_at(std::size_t i) {
+  const HeapNode last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-}
-
-bool Scheduler::settle_top() {
-  while (!heap_.empty()) {
-    const HeapNode& top = heap_.front();
-    if (slots_[top.slot].gen == top.gen) return true;
-    pop_top();  // stale: the event was cancelled and its slot released
+  if (i == heap_.size()) return kNoSlot;
+  heap_[i] = last;
+  if (i > 0 && earlier(last, heap_[(i - 1) / 4])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
   }
-  return false;
+  return last.slot;
 }
 
-void Scheduler::take_top(TimeNs& time, std::uint64_t& seq, Callback& cb) {
-  const HeapNode top = heap_.front();
-  time = top.time;
-  seq = top.seq;
-  cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
-  --live_;
-  pop_top();
+void Scheduler::check_heap([[maybe_unused]] std::uint32_t moved) const {
+  CONGA_INVARIANT(check_condition(heap_.size() == live_, "scheduler", now_,
+                                  "scheduler.heap-accounting",
+                                  "heap size differs from live event count"));
+  CONGA_INVARIANT(check_condition(
+      moved == kNoSlot || (slots_[moved].heap_pos < heap_.size() &&
+                           heap_[slots_[moved].heap_pos].slot == moved),
+      "scheduler", now_, "scheduler.heap-index",
+      "moved node's slot does not point back at its heap index"));
 }
 
 EventId Scheduler::schedule_at(TimeNs t, Callback cb) {
   if (t < now_) t = now_;
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_slot();
-  const std::uint32_t gen = slots_[slot].gen;
   slots_[slot].cb = std::move(cb);
-  heap_.push_back(HeapNode{t, seq, slot, gen});
+  heap_.push_back(HeapNode{t, seq, slot});
   sift_up(heap_.size() - 1);
   ++live_;
-  return make_id(slot, gen);
+  return make_id(slot, slots_[slot].gen);
 }
 
 void Scheduler::cancel(EventId id) {
@@ -98,41 +101,39 @@ void Scheduler::cancel(EventId id) {
   if ((gen & 1U) == 0 || slot >= slots_.size()) return;
   Slot& s = slots_[slot];
   if (s.gen != gen) return;
-  s.cb = Callback{};  // destroy the payload (e.g. a captured packet) now
+  // The payload (e.g. a captured packet) dies at the end of this scope,
+  // after the heap and slot bookkeeping is complete: its destructor may
+  // schedule (reallocating slots_) or cancel this very id again.
+  const Callback doomed = std::move(s.cb);
+  const std::uint32_t moved = remove_at(s.heap_pos);
   release_slot(slot);
   --live_;
+  check_heap(moved);
 }
+
+void Scheduler::dispatch_top() {
+  const HeapNode top = heap_.front();
+  Callback cb = std::move(slots_[top.slot].cb);
+  const std::uint32_t moved = remove_at(0);
+  release_slot(top.slot);
+  --live_;
+  check_heap(moved);
+  CONGA_INVARIANT(check_time_monotonic("scheduler", now_, top.time));
+  now_ = top.time;
+  ++dispatched_;
+  if (trace_) trace_(top.time, top.seq);
+  cb();
+}  // the payload dies here, with the scheduler consistent again
 
 void Scheduler::run() {
   stopped_ = false;
-  TimeNs time = 0;
-  std::uint64_t seq = 0;
-  Callback cb;
-  while (!stopped_ && settle_top()) {
-    take_top(time, seq, cb);
-    CONGA_INVARIANT(check_time_monotonic("scheduler", now_, time));
-    now_ = time;
-    ++dispatched_;
-    if (trace_) trace_(time, seq);
-    cb();
-    cb = Callback{};  // release the payload before the next settle
-  }
+  while (!stopped_ && !heap_.empty()) dispatch_top();
 }
 
 void Scheduler::run_until(TimeNs t) {
   stopped_ = false;
-  TimeNs time = 0;
-  std::uint64_t seq = 0;
-  Callback cb;
-  while (!stopped_ && settle_top()) {
-    if (heap_.front().time > t) break;
-    take_top(time, seq, cb);
-    CONGA_INVARIANT(check_time_monotonic("scheduler", now_, time));
-    now_ = time;
-    ++dispatched_;
-    if (trace_) trace_(time, seq);
-    cb();
-    cb = Callback{};
+  while (!stopped_ && !heap_.empty() && heap_.front().time <= t) {
+    dispatch_top();
   }
   if (now_ < t) now_ = t;
 }

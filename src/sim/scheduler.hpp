@@ -38,11 +38,10 @@ constexpr EventId kInvalidEventId = 0;
 /// Implementation: a 4-ary implicit heap of 24-byte POD nodes ordered by
 /// (time, schedule sequence), indexing into a slot arena that owns the
 /// callbacks. Each slot carries a generation counter baked into the EventId,
-/// so cancel() is an O(1) generation bump — no per-dispatch hash-set lookup,
-/// and a stale id (already fired, already cancelled, never valid) can never
-/// corrupt the pending-event accounting. A cancelled event's node stays in
-/// the heap until it surfaces, where the generation mismatch discards it;
-/// its callback (and any packet it owns) is destroyed eagerly at cancel().
+/// so a stale id (already fired, already cancelled, never valid) fails a
+/// generation check instead of corrupting the pending-event accounting, and
+/// a back-pointer to its node's heap index, so cancel() removes the node at
+/// once. The heap holds exactly the pending events.
 class Scheduler {
  public:
   using Callback = UniqueFunction;
@@ -65,8 +64,9 @@ class Scheduler {
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
   /// or invalid id is a harmless no-op (this makes timer management in TCP
-  /// much simpler). O(1): the slot's generation is bumped so the heap node
-  /// goes stale, and the callback is destroyed immediately.
+  /// much simpler). O(log n): the event's heap node is removed and its
+  /// callback destroyed before cancel() returns. The callback is destroyed
+  /// last, so a payload destructor may itself schedule or cancel events.
   void cancel(EventId id);
 
   /// Runs until the event queue is empty or stop() is called.
@@ -104,25 +104,24 @@ class Scheduler {
   void set_telemetry(telemetry::TraceSink* sink) { telemetry_ = sink; }
 
  private:
-  /// One pending (or stale) entry in the implicit 4-ary heap. Trivially
-  /// copyable and 24 bytes, so sift operations move PODs, not callbacks.
+  /// One pending entry in the implicit 4-ary heap. Trivially copyable and
+  /// 24 bytes, so sift operations move PODs, not callbacks.
   struct HeapNode {
     TimeNs time;
     std::uint64_t seq;   ///< schedule-order tie-break; fed to the trace hook
     std::uint32_t slot;  ///< index into slots_
-    std::uint32_t gen;   ///< slot generation this node refers to
   };
 
   /// Callback arena entry. `gen` is odd while the slot identifies events
   /// (so a packed EventId is never 0) and advances by 2 every time the slot
-  /// is released, invalidating outstanding ids and stale heap nodes. A
-  /// generation would have to wrap through 2^31 reuses of one slot while an
-  /// old id is still held for a stale handle to collide — out of reach of
-  /// any realistic run.
+  /// is released, invalidating outstanding ids. A generation would have to
+  /// wrap through 2^31 reuses of one slot while an old id is still held for
+  /// a stale handle to collide — out of reach of any realistic run.
   struct Slot {
     Callback cb;
     std::uint32_t gen = 1;
     std::uint32_t next_free = kNoSlot;
+    std::uint32_t heap_pos = 0;  ///< index of this slot's node in heap_
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
@@ -138,16 +137,20 @@ class Scheduler {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+  /// Stores `node` at heap index `i` and points its slot back at `i`.
+  void place(std::size_t i, const HeapNode& node);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  /// Removes the heap root (which must exist).
-  void pop_top();
-  /// Discards stale (cancelled) nodes at the root. Returns false when the
-  /// heap is empty, true when a live node is at the root.
-  bool settle_top();
-  /// Extracts the live root event into (time, seq, cb) and releases its
-  /// slot. Caller must have checked settle_top().
-  void take_top(TimeNs& time, std::uint64_t& seq, Callback& cb);
+  /// Removes the node at heap index `i`: the last node fills the hole and
+  /// is sifted into place. Returns the moved node's slot, or kNoSlot when
+  /// `i` was the last index.
+  std::uint32_t remove_at(std::size_t i);
+  /// Checks (under CONGA_CHECK_INVARIANTS) that the heap holds exactly the
+  /// live events and that `moved`'s back-pointer names its node.
+  void check_heap(std::uint32_t moved) const;
+  /// Removes the root event (which must exist), releases its slot, then
+  /// runs it.
+  void dispatch_top();
 
   TimeNs now_ = 0;
   TraceHook trace_;

@@ -1,7 +1,11 @@
 // Tests for the discrete-event scheduler and RNG utilities.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -228,8 +232,7 @@ TEST(Scheduler, HeavyCancelChurnKeepsOrderAndAccounting) {
 
 TEST(Scheduler, CancelDestroysPayloadEagerly) {
   // Cancelling an event frees its captured payload immediately (pooled
-  // packets must return to the pool without waiting for the node to
-  // surface in the heap).
+  // packets must return to the pool without waiting for the event's time).
   Scheduler sched;
   auto payload = std::make_shared<int>(7);
   std::weak_ptr<int> watch = payload;
@@ -251,6 +254,216 @@ TEST(Scheduler, CancelledHeadSkippedByRunUntil) {
   sched.run_until(10);
   EXPECT_FALSE(fired_a);
   EXPECT_TRUE(fired_b);
+}
+
+// Differential check against a reference model: a std::set ordered by
+// (time, seq) holds exactly the events that should be pending, and the
+// scheduler must dispatch its minimum every time, with the same seq the
+// model assigned, while pending() tracks the set's size. Operations are
+// random: schedules at clustered times (so equal-time ties are common, and
+// some times lie in the past), cancels of live, fired, already-cancelled
+// and forged ids, cancels and schedules from inside running callbacks
+// (including cancelling the next head), and run_until windows.
+class SchedulerModelCheck {
+ public:
+  explicit SchedulerModelCheck(std::uint64_t seed) : rng_(seed) {
+    sched_.set_trace_hook([this](TimeNs, EventId seq) { hooked_seq_ = seq; });
+  }
+
+  void run(int steps) {
+    for (int i = 0; i < steps; ++i) {
+      const double op = rng_.uniform();
+      if (op < 0.45) {
+        schedule();
+      } else if (op < 0.8) {
+        cancel_something();
+      } else {
+        const TimeNs until = sched_.now() + rng_.uniform_int(0, 12);
+        sched_.run_until(until);
+        ASSERT_EQ(sched_.now(), until);
+        ASSERT_TRUE(live_.empty() || live_.begin()->first > until);
+      }
+      ASSERT_EQ(sched_.pending(), live_.size()) << "step " << i;
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    sched_.run();
+    ASSERT_TRUE(live_.empty());
+    ASSERT_EQ(sched_.pending(), 0u);
+    ASSERT_EQ(sched_.events_dispatched(), fired_);
+  }
+
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t cancelled() const { return cancelled_; }
+
+ private:
+  using Key = std::pair<TimeNs, std::uint64_t>;  // (time, seq)
+
+  void schedule() {
+    // Times cluster on a 5 ns grid a few steps ahead; one in ten lies in
+    // the past and must clamp to now().
+    TimeNs t = sched_.now() + 5 * rng_.uniform_int(0, 4);
+    if (rng_.chance(0.1)) t = sched_.now() - 3;
+    const std::uint64_t seq = next_seq_++;
+    const EventId id = sched_.schedule_at(t, [this, seq] { on_fire(seq); });
+    const Key key{t < sched_.now() ? sched_.now() : t, seq};
+    live_.insert(key);
+    ids_.emplace(key, id);
+  }
+
+  void cancel_something() {
+    const double kind = rng_.uniform();
+    if (kind < 0.5 && !live_.empty()) {
+      auto it = ids_.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng_.index(ids_.size())));
+      cancel_live(it);
+    } else if (kind < 0.65 && !live_.empty()) {
+      cancel_live(ids_.find(*live_.begin()));  // the next head
+    } else if (kind < 0.9 && !dead_.empty()) {
+      sched_.cancel(dead_[rng_.index(dead_.size())]);  // fired or cancelled
+    } else {
+      // Forged: kInvalidEventId, an even (never issued) generation on a
+      // real slot, or an odd generation on a slot that does not exist.
+      const double forge = rng_.uniform();
+      const auto slot = static_cast<EventId>(rng_.index(64));
+      if (forge < 0.3) {
+        sched_.cancel(kInvalidEventId);
+      } else if (forge < 0.6) {
+        sched_.cancel((slot << 32) | (2 * rng_.index(1000)));
+      } else {
+        sched_.cancel(((slot + 100'000) << 32) | 1);
+      }
+    }
+  }
+
+  void cancel_live(std::map<Key, EventId>::iterator it) {
+    sched_.cancel(it->second);
+    dead_.push_back(it->second);
+    live_.erase(it->first);
+    ids_.erase(it);
+    ++cancelled_;
+  }
+
+  void on_fire(std::uint64_t seq) {
+    ASSERT_FALSE(live_.empty());
+    const Key head = *live_.begin();
+    ASSERT_EQ(head, Key(sched_.now(), seq));
+    ASSERT_EQ(hooked_seq_, seq);
+    auto it = ids_.find(head);
+    dead_.push_back(it->second);
+    ids_.erase(it);
+    live_.erase(head);
+    ++fired_;
+    // Re-enter from inside the running callback.
+    const double act = rng_.uniform();
+    if (act < 0.15) {
+      cancel_something();
+    } else if (act < 0.3) {
+      schedule();
+    }
+  }
+
+  Scheduler sched_;
+  Rng rng_;
+  std::set<Key> live_;
+  std::map<Key, EventId> ids_;  // live events' ids
+  std::vector<EventId> dead_;   // ids that fired or were cancelled
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t hooked_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+};
+
+TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    SchedulerModelCheck check(seed);
+    check.run(10'000);
+    ASSERT_FALSE(HasFatalFailure());
+    // The mix must actually exercise both paths.
+    EXPECT_GT(check.fired(), 1000u);
+    EXPECT_GT(check.cancelled(), 1000u);
+  }
+}
+
+// A payload whose destructor re-enters the scheduler: it cancels its own
+// (now stale) id, cancels another pending event, and schedules enough new
+// events to reallocate the slot arena. Both the cancel path and the
+// dispatch path must let it die only after their bookkeeping is complete.
+struct ReentrantPayload {
+  Scheduler* sched = nullptr;
+  const EventId* self = nullptr;
+  EventId victim = kInvalidEventId;
+  int* destroyed = nullptr;
+  std::vector<int>* fired = nullptr;
+
+  ReentrantPayload(Scheduler* s, const EventId* self_id, EventId victim_id,
+                   int* destroyed_count, std::vector<int>* fired_log)
+      : sched(s),
+        self(self_id),
+        victim(victim_id),
+        destroyed(destroyed_count),
+        fired(fired_log) {}
+  ReentrantPayload(ReentrantPayload&& o) noexcept
+      : sched(std::exchange(o.sched, nullptr)),
+        self(o.self),
+        victim(o.victim),
+        destroyed(o.destroyed),
+        fired(o.fired) {}
+  ReentrantPayload(const ReentrantPayload&) = delete;
+  ReentrantPayload& operator=(const ReentrantPayload&) = delete;
+  ReentrantPayload& operator=(ReentrantPayload&&) = delete;
+
+  ~ReentrantPayload() {
+    if (sched == nullptr) return;  // moved-from
+    ++*destroyed;
+    sched->cancel(*self);  // stale by now: must not destroy us twice
+    sched->cancel(victim);
+    for (int i = 0; i < 64; ++i) {
+      sched->schedule_at(sched->now() + 100 + i,
+                         [log = fired, i] { log->push_back(i); });
+    }
+  }
+};
+
+TEST(Scheduler, CancelledPayloadDestructorMayReenter) {
+  Scheduler sched;
+  std::vector<int> fired;
+  int destroyed = 0;
+  const EventId victim =
+      sched.schedule_at(50, [&fired] { fired.push_back(-1); });
+  EventId self = kInvalidEventId;
+  self = sched.schedule_at(
+      10, [p = ReentrantPayload(&sched, &self, victim, &destroyed, &fired)] {
+        (void)p;
+      });
+  sched.cancel(self);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sched.pending(), 64u);  // victim cancelled, 64 scheduled
+  sched.run();
+  EXPECT_EQ(destroyed, 1);
+  ASSERT_EQ(fired.size(), 64u);  // never the victim (-1)
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Scheduler, DispatchedPayloadDestructorMayReenter) {
+  Scheduler sched;
+  std::vector<int> fired;
+  int destroyed = 0;
+  const EventId victim =
+      sched.schedule_at(50, [&fired] { fired.push_back(-1); });
+  EventId self = kInvalidEventId;
+  self = sched.schedule_at(
+      10, [p = ReentrantPayload(&sched, &self, victim, &destroyed, &fired)] {
+        p.fired->push_back(-2);
+      });
+  sched.run();
+  EXPECT_EQ(destroyed, 1);
+  ASSERT_EQ(fired.size(), 65u);
+  EXPECT_EQ(fired.front(), -2);  // the payload's own event, never the victim
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
+  }
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 TEST(Rng, DeterministicWithSameSeed) {
