@@ -1,15 +1,16 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "campaign/fingerprint.hpp"
+#include "campaign/supervisor.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "sim/random.hpp"
 
@@ -296,8 +297,21 @@ std::vector<Cell> expand_campaign(const CampaignSpec& spec,
   return cells;
 }
 
-bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
-                  CampaignRun& out, std::string& err) {
+namespace {
+
+/// Runs the cells named by `misses` (indices into run.cells), filling their
+/// results and setting stored[i] for each entry that landed in the store.
+/// Returns false and sets `err` to abort the campaign; sets `interrupted`
+/// when the run was stopped before every miss resolved.
+using MissExecutor = std::function<bool(
+    CampaignRun& run, const std::vector<std::size_t>& misses,
+    std::vector<std::uint8_t>& stored, bool& interrupted, std::string& err)>;
+
+/// The one campaign core behind both runners: expand, look every cell up,
+/// hand the misses to `run_misses`, account the store, emit telemetry.
+bool run_cells(const CampaignSpec& spec, const RunOptions& opts,
+               const CellDoneFn& on_done, const MissExecutor& run_misses,
+               CampaignRun& out, bool& interrupted, std::string& err) {
   if (spec.policies.empty() || spec.loads_pct.empty() || spec.seeds.empty() ||
       spec.faults.empty()) {
     err = "campaign axes must be non-empty "
@@ -328,6 +342,9 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
       case ResultStore::LoadStatus::kHit:
         run.origins[i] = CellOrigin::kCached;
         ++run.stats.hits;
+        if (on_done) {
+          on_done(i, run.cells[i], CellOrigin::kCached, &run.results[i]);
+        }
         break;
       case ResultStore::LoadStatus::kCorrupt:
         run.origins[i] = CellOrigin::kRecomputed;
@@ -344,60 +361,31 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
     }
   }
   run.stats.misses = misses.size();
-  const std::uint64_t writes_before =
-      opts.store != nullptr ? opts.store->writes() : 0;
 
-  // Phase 2 — misses on the parallel runner; each worker owns its whole
-  // simulation and writes its entry back itself (put() is thread-safe).
-  // A store that stops accepting writes (read-only root, ENOSPC) must not
-  // kill a campaign mid-run: the run degrades to in-memory results, warns
-  // once, and the report still completes in full.
-  std::mutex progress_mu;
-  std::atomic<bool> store_degraded{false};
-  try {
-    runtime::parallel_for(misses.size(), opts.jobs, [&](std::size_t mi) {
-      const std::size_t i = misses[mi];
-      const Cell& cell = run.cells[i];
-      workload::ExperimentConfig cfg;
-      std::string cell_err;
-      if (!to_experiment_config(cell.spec, cfg, cell_err)) {
-        throw std::runtime_error("cell " + cell_coordinate(cell) + ": " +
-                                 cell_err);
-      }
-      run.results[i] = workload::run_fct_experiment(cfg);
-      if (opts.store != nullptr) {
-        std::string put_err;
-        if (!opts.store->put(cell.key, run.fingerprint,
-                             canonical_json(cell.spec), run.results[i],
-                             put_err)) {
-          if (!store_degraded.exchange(true)) {
-            std::fprintf(stderr,
-                         "campaign: WARNING store degraded, keeping results "
-                         "in memory (%s)\n",
-                         put_err.c_str());
-          }
-        }
-      }
-      if (opts.verbose) {
-        const std::lock_guard<std::mutex> lock(progress_mu);
-        std::fprintf(stderr, "  [%s: %zu flows, %.0f%% completed]\n",
-                     cell_coordinate(cell).c_str(), run.results[i].flows,
-                     run.results[i].completed_fraction * 100);
-      }
-    });
-  } catch (const std::exception& e) {
-    err = e.what();
-    return false;
+  // Phase 2 — the misses. A store that stops accepting writes (read-only
+  // root, ENOSPC) must not kill a campaign mid-run: the run degrades to
+  // in-memory results, warns once, and the report still completes in full.
+  std::vector<std::uint8_t> stored(n, 0);
+  interrupted = false;
+  if (!run_misses(run, misses, stored, interrupted, err)) return false;
+  std::size_t unstored = 0;
+  for (const std::size_t i : misses) {
+    if (run.origins[i] != CellOrigin::kFailed && stored[i] == 0) ++unstored;
+    run.stats.store_writes += stored[i];
   }
-  run.stats.store_writes =
-      opts.store != nullptr ? opts.store->writes() - writes_before : 0;
-  run.stats.store = opts.store == nullptr ? StoreHealth::kNone
-                    : store_degraded.load() ? StoreHealth::kDegraded
-                                            : StoreHealth::kOk;
+  if (opts.store != nullptr) {
+    run.stats.store = unstored > 0 ? StoreHealth::kDegraded : StoreHealth::kOk;
+    if (unstored > 0 && !interrupted) {
+      std::fprintf(stderr,
+                   "campaign: WARNING store degraded, kept %zu result(s) in "
+                   "memory only (store %s)\n",
+                   unstored, opts.store->root().c_str());
+    }
+  }
 
   // Phase 3 — telemetry, main thread only (the sink is thread-confined).
   // a: cell index in canonical order, b: FNV-1a of the cell key.
-  if (opts.sink != nullptr) {
+  if (opts.sink != nullptr && !interrupted) {
     const telemetry::ComponentId comp =
         opts.sink->intern_component("campaign/" + run.spec.name);
     for (std::size_t i = 0; i < n; ++i) {
@@ -416,9 +404,9 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                           comp, 0, i, key_hash | kRecomputedFlag);
           break;
         case CellOrigin::kFailed:
-          break;  // unreachable in-process; supervised runs emit their own
+          break;  // kSupervisorQuarantine already told the story
       }
-      if (run.origins[i] != CellOrigin::kCached && opts.store != nullptr) {
+      if (stored[i] != 0) {
         telemetry::emit(opts.sink, telemetry::EventType::kCampaignStoreWrite,
                         comp, 0, i, key_hash);
       }
@@ -427,6 +415,74 @@ bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
 
   out = std::move(run);
   return true;
+}
+
+}  // namespace
+
+bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
+                  CampaignRun& out, std::string& err) {
+  // Misses on the parallel runner; each worker owns its whole simulation
+  // and writes its entry back itself (put() is thread-safe).
+  const MissExecutor in_threads =
+      [&opts](CampaignRun& run, const std::vector<std::size_t>& misses,
+              std::vector<std::uint8_t>& stored, bool& /*interrupted*/,
+              std::string& run_err) {
+        std::mutex progress_mu;
+        try {
+          runtime::parallel_for(misses.size(), opts.jobs, [&](std::size_t mi) {
+            const std::size_t i = misses[mi];
+            const Cell& cell = run.cells[i];
+            workload::ExperimentConfig cfg;
+            std::string cell_err;
+            if (!to_experiment_config(cell.spec, cfg, cell_err)) {
+              throw std::runtime_error("cell " + cell_coordinate(cell) + ": " +
+                                       cell_err);
+            }
+            run.results[i] = workload::run_fct_experiment(cfg);
+            std::string put_err;
+            if (opts.store != nullptr &&
+                opts.store->put(cell.key, run.fingerprint,
+                                canonical_json(cell.spec), run.results[i],
+                                put_err)) {
+              stored[i] = 1;
+            }
+            if (opts.verbose) {
+              const std::lock_guard<std::mutex> lock(progress_mu);
+              std::fprintf(stderr, "  [%s: %zu flows, %.0f%% completed%s%s]\n",
+                           cell_coordinate(cell).c_str(), run.results[i].flows,
+                           run.results[i].completed_fraction * 100,
+                           put_err.empty() ? "" : "; ", put_err.c_str());
+            }
+          });
+        } catch (const std::exception& e) {
+          run_err = e.what();
+          return false;
+        }
+        return true;
+      };
+  bool interrupted = false;
+  return run_cells(spec, opts, nullptr, in_threads, out, interrupted, err);
+}
+
+bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
+                             const SupervisorOptions& sopts,
+                             const CellDoneFn& on_done,
+                             const volatile std::sig_atomic_t* shutdown,
+                             CampaignRun& out, SuperviseOutcome& outcome,
+                             std::string& err) {
+  const MissExecutor in_children =
+      [&](CampaignRun& run, const std::vector<std::size_t>& misses,
+          std::vector<std::uint8_t>& stored, bool& interrupted,
+          std::string& run_err) {
+        return supervise_misses(run, misses, ropts, sopts, on_done, shutdown,
+                                stored, interrupted, run_err);
+      };
+  bool interrupted = false;
+  const bool ok =
+      run_cells(spec, ropts, on_done, in_children, out, interrupted, err);
+  outcome = interrupted ? SuperviseOutcome::kDrained
+                        : SuperviseOutcome::kComplete;
+  return ok;
 }
 
 std::string report_json(const CampaignRun& run) {
@@ -438,7 +494,7 @@ std::string report_json(const CampaignRun& run) {
   Json cells = Json::array();
   for (std::size_t i = 0; i < run.cells.size(); ++i) {
     if (i < run.origins.size() && run.origins[i] == CellOrigin::kFailed) {
-      continue;  // quarantined cells live in failed_cells, not cells
+      continue;  // failed cells live in failed_cells, not cells
     }
     const Cell& cell = run.cells[i];
     Json e = Json::object();
@@ -459,11 +515,9 @@ std::string report_json(const CampaignRun& run) {
     Json e = Json::object();
     e.set("coordinate", Json::string(f.coordinate));
     e.set("key", Json::string(f.key));
-    e.set("attempts", Json::integer(f.attempts));
     e.set("outcome", Json::string(f.outcome));
     e.set("exit_code", Json::integer(f.exit_code));
     e.set("signal", Json::integer(f.term_signal));
-    e.set("quarantine", Json::string(f.quarantine_path));
     failed.push_back(std::move(e));
   }
   j.set("failed_cells", std::move(failed));
@@ -478,7 +532,6 @@ Json stats_json(const RunStats& stats) {
   j.set("misses", Json::uinteger(stats.misses));
   j.set("corrupt", Json::uinteger(stats.corrupt));
   j.set("failed", Json::uinteger(stats.failed));
-  j.set("retries", Json::uinteger(stats.retries));
   j.set("timeouts", Json::uinteger(stats.timeouts));
   j.set("store_writes", Json::uinteger(stats.store_writes));
   j.set("store", Json::string(store_health_name(stats.store)));

@@ -88,7 +88,7 @@ enum class CellOrigin : std::uint8_t {
   kComputed = 0,  ///< cache miss, simulated this run
   kCached,        ///< verified store hit
   kRecomputed,    ///< store entry was corrupt; recomputed and overwritten
-  kFailed,        ///< supervised cell exhausted its retries; no result
+  kFailed,        ///< supervised cell crashed, hung or exited nonzero
 };
 
 /// Health of the backing store over one run. A campaign never dies because
@@ -107,26 +107,22 @@ struct RunStats {
   std::size_t hits = 0;
   std::size_t misses = 0;    ///< includes corrupt recomputations
   std::size_t corrupt = 0;   ///< corrupt entries detected (and healed)
-  std::size_t failed = 0;    ///< quarantined cells (supervised runs)
-  std::uint64_t retries = 0;   ///< child re-spawns after a failed attempt
+  std::size_t failed = 0;    ///< failed cells (supervised runs)
   std::uint64_t timeouts = 0;  ///< children killed at the per-cell deadline
   std::uint64_t store_writes = 0;
   StoreHealth store = StoreHealth::kNone;
 };
 
-/// One cell that exhausted its retry budget under supervision. Everything
-/// here is deterministic given the failure mode — no wall-clock timestamps —
-/// so reports stay comparable across runs.
+/// One cell whose child failed under supervision. Everything here is
+/// deterministic given the failure mode — no wall-clock timestamps — so
+/// reports stay comparable across runs.
 struct FailedCell {
   std::size_t index = 0;      ///< canonical expansion index
   std::string coordinate;
   std::string key;
-  int attempts = 0;           ///< attempts consumed (== max_attempts unless
-                              ///< the failure was permanent)
   std::string outcome;        ///< "exit" | "signal" | "timeout"
   int exit_code = 0;          ///< valid when outcome == "exit"
   int term_signal = 0;        ///< valid when outcome == "signal"
-  std::string quarantine_path;  ///< poison record, "" when no store
 };
 
 struct RunOptions {
@@ -142,18 +138,20 @@ struct CampaignRun {
   std::vector<Cell> cells;
   std::vector<workload::ExperimentResult> results;  ///< cell order
   std::vector<CellOrigin> origins;                  ///< cell order
-  std::vector<FailedCell> failed;                   ///< quarantined cells
+  std::vector<FailedCell> failed;                   ///< by cell index
   RunStats stats;
 };
 
-/// Expands, looks up, schedules misses on the parallel runner, writes fresh
-/// entries back, and fills `out`. Returns false and sets `err` on invalid
-/// requests, unresolvable specs, or store I/O failure.
+/// Expands, looks up, schedules misses on the parallel runner (workers write
+/// their fresh entries back), and fills `out`. run_campaign_supervised()
+/// (supervisor.hpp) shares this core and only runs misses in child
+/// processes instead. Returns false and sets `err` on invalid requests or
+/// unresolvable specs; a failing store degrades the run, never fails it.
 bool run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                   CampaignRun& out, std::string& err);
 
 /// The conga-campaign-v1 report: request axes + per-cell results, plus a
-/// `failed_cells` block (empty on clean runs) naming any quarantined cells.
+/// `failed_cells` block (empty on clean runs) naming any failed cells.
 /// A pure function of (request, fingerprint, results, failures) — no cache
 /// state and no timestamps, so cold and warm runs serialize byte-identically
 /// and a resumed run reproduces an undisturbed run's bytes.

@@ -226,7 +226,7 @@ bool ResultStore::gc(const GcOptions& opts, GcStats& out,
   for (const fs::directory_entry& shard : fs::directory_iterator(root_, ec)) {
     if (!shard.is_directory(ec)) continue;
     const std::string shard_name = shard.path().filename().string();
-    if (shard_name == "tmp" || shard_name == "quarantine") continue;
+    if (shard_name == "tmp") continue;
     for (const fs::directory_entry& e :
          fs::directory_iterator(shard.path(), ec)) {
       if (!e.is_regular_file(ec) || e.path().extension() != ".json") continue;
@@ -274,15 +274,6 @@ bool ResultStore::stat(StoreStat& out, std::string& err) const {
         if (!e.is_regular_file(ec)) continue;
         ++out.tmp_files;
         out.tmp_bytes += file_bytes(e.path());
-      }
-      continue;
-    }
-    if (shard_name == "quarantine") {
-      for (const fs::directory_entry& e :
-           fs::directory_iterator(shard.path(), ec)) {
-        if (e.is_regular_file(ec) && e.path().extension() == ".json") {
-          ++out.quarantined;
-        }
       }
       continue;
     }

@@ -97,12 +97,11 @@ class ResultStore {
     std::uint64_t bytes = 0;
     std::uint64_t tmp_files = 0;
     std::uint64_t tmp_bytes = 0;
-    std::uint64_t quarantined = 0;  ///< poison records under quarantine/
     std::vector<StatBucket> by_fingerprint;  ///< sorted by fingerprint
   };
 
   /// Walks the store and summarizes it (entry count/bytes per fingerprint,
-  /// tmp backlog, quarantine records). Missing root = empty store.
+  /// tmp backlog). Missing root = empty store.
   bool stat(StoreStat& out, std::string& err) const;
 
   /// Test hook: when armed, the next put() aborts the process after writing

@@ -1,9 +1,8 @@
 #include "campaign/supervisor.hpp"
 
-// conga-lint: allow-file(wall-clock): supervision deadlines, retry backoff,
-// and drain grace are real elapsed time by design; they schedule child
-// processes, never simulation events, and no digest or report byte depends
-// on them.
+// conga-lint: allow-file(wall-clock): supervision deadlines are real elapsed
+// time by design; they schedule child processes, never simulation events,
+// and no digest or report byte depends on them.
 
 #include <fcntl.h>
 #include <sys/wait.h>
@@ -16,15 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
-#include "campaign/fingerprint.hpp"
 #include "campaign/json.hpp"
 #include "campaign/store.hpp"
 
@@ -34,47 +30,20 @@ namespace {
 
 constexpr const char* kCellRequestSchema = "conga-cell-request-v1";
 constexpr const char* kCellResponseSchema = "conga-cell-response-v1";
-constexpr const char* kQuarantineSchema = "conga-quarantine-v1";
 
-/// Child exit code meaning "retrying cannot help" (bad request / spec).
-constexpr int kExitPermanent = 3;
-
-constexpr std::uint64_t kRecomputedFlag = 1ULL << 63;
+/// Child exit code for a request that can never succeed (bad request/spec).
+constexpr int kExitBadRequest = 3;
 
 using Clock = std::chrono::steady_clock;
 
-std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
-      .count();
-}
-
-/// One finished attempt, as recorded in the quarantine poison file.
-struct AttemptRecord {
-  std::string outcome;  ///< "exit" | "signal" | "timeout"
-  int exit_code = 0;
-  int term_signal = 0;
-  std::int64_t backoff_ms = 0;  ///< delay scheduled after this attempt
-};
-
-/// A cell waiting to run (first time or retry).
-struct PendingCell {
-  std::size_t idx = 0;
-  int attempt = 1;  ///< attempt number the next launch will be
-  Clock::time_point ready_at;  ///< epoch default: ready immediately
-  bool was_corrupt = false;    ///< store had a corrupt entry for this key
-  std::vector<AttemptRecord> attempts;
-};
-
 /// A live child process.
 struct ChildSlot {
+  std::size_t idx = 0;  ///< cell index in canonical expansion order
   pid_t pid = -1;
   int out_fd = -1;      ///< nonblocking read end of the child's stdout
   std::string buf;      ///< accumulated response bytes
-  PendingCell cell;
   Clock::time_point started;
-  bool killed = false;
-  bool timed_out = false;      ///< killed by its own deadline
-  bool shutdown_kill = false;  ///< killed by the drain grace; stays pending
+  bool timed_out = false;  ///< SIGKILLed at its deadline
 };
 
 std::string make_cell_request(const Cell& cell, const std::string& fingerprint,
@@ -194,77 +163,7 @@ bool parse_response(const std::string& text, const std::string& key,
   return result_from_json(*result_v, result, err);
 }
 
-bool write_file_synced(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = ::fsync(::fileno(f)) == 0;
-  return (std::fclose(f) == 0) && wrote && flushed && synced;
-}
-
-/// Writes the quarantine poison record; returns its path or "" on failure
-/// (a store that cannot take the record must not re-kill the campaign).
-std::string write_quarantine(const std::string& store_root, const Cell& cell,
-                             const PendingCell& pc, int max_attempts) {
-  if (store_root.empty()) return "";
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(store_root) / "quarantine";
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) return "";
-
-  Json j = Json::object();
-  j.set("schema", Json::string(kQuarantineSchema));
-  j.set("key", Json::string(cell.key));
-  j.set("coordinate", Json::string(cell_coordinate(cell)));
-  j.set("cell_index", Json::uinteger(pc.idx));
-  j.set("max_attempts", Json::integer(max_attempts));
-  Json attempts = Json::array();
-  for (std::size_t a = 0; a < pc.attempts.size(); ++a) {
-    const AttemptRecord& rec = pc.attempts[a];
-    Json e = Json::object();
-    e.set("attempt", Json::uinteger(a + 1));
-    e.set("outcome", Json::string(rec.outcome));
-    e.set("exit_code", Json::integer(rec.exit_code));
-    e.set("signal", Json::integer(rec.term_signal));
-    e.set("backoff_ms", Json::integer(rec.backoff_ms));
-    attempts.push_back(std::move(e));
-  }
-  j.set("attempts", std::move(attempts));
-  j.set("spec", json_of_spec(cell.spec));
-
-  const std::string path = (dir / (cell.key + ".json")).string();
-  const std::string tmp = path + "." + std::to_string(::getpid()) + ".tmp";
-  if (!write_file_synced(tmp, j.dump_pretty() + "\n")) {
-    fs::remove(tmp, ec);
-    return "";
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return "";
-  }
-  return path;
-}
-
 }  // namespace
-
-std::int64_t backoff_delay_ms(const std::string& key, int attempt,
-                              const SupervisorOptions& opts) {
-  const std::int64_t base = std::max<std::int64_t>(1, opts.backoff_base_ms);
-  const std::int64_t cap = std::max<std::int64_t>(base, opts.backoff_cap_ms);
-  const int shift = std::min(std::max(attempt - 1, 0), 20);
-  std::int64_t delay = base << shift;
-  if (delay <= 0 || delay > cap) delay = cap;
-  // Keyed jitter: deterministic per (cell, attempt), so reruns follow the
-  // same schedule while distinct cells desynchronize.
-  const std::uint64_t h = fnv1a64(key + "#" + std::to_string(attempt));
-  const auto span = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      1, base / 4));
-  return delay + static_cast<std::int64_t>(h % span);
-}
 
 bool parse_cell_fault(const std::string& text,
                       std::vector<CellFaultDirective>& out,
@@ -279,8 +178,7 @@ bool parse_cell_fault(const std::string& text,
     if (item.empty()) continue;
     const std::size_t colon = item.find(':');
     if (colon == std::string::npos) {
-      err = "CONGA_CELL_FAULT directive '" + item +
-            "' wants mode:cell[@attempt]";
+      err = "CONGA_CELL_FAULT directive '" + item + "' wants mode:cell";
       return false;
     }
     CellFaultDirective d;
@@ -296,20 +194,7 @@ bool parse_cell_fault(const std::string& text,
             "' (crash, hang, tear)";
       return false;
     }
-    std::string rest = item.substr(colon + 1);
-    const std::size_t at = rest.find('@');
-    if (at != std::string::npos) {
-      const std::string attempt_text = rest.substr(at + 1);
-      char* parse_end = nullptr;
-      const long attempt = std::strtol(attempt_text.c_str(), &parse_end, 10);
-      if (parse_end == attempt_text.c_str() || *parse_end != '\0' ||
-          attempt <= 0) {
-        err = "bad attempt in CONGA_CELL_FAULT directive '" + item + "'";
-        return false;
-      }
-      d.attempt = static_cast<int>(attempt);
-      rest = rest.substr(0, at);
-    }
+    const std::string rest = item.substr(colon + 1);
     char* parse_end = nullptr;
     const long cell = std::strtol(rest.c_str(), &parse_end, 10);
     if (parse_end == rest.c_str() || *parse_end != '\0' || cell < 0) {
@@ -323,10 +208,9 @@ bool parse_cell_fault(const std::string& text,
 }
 
 const char* fault_action(const std::vector<CellFaultDirective>& directives,
-                         std::size_t cell, int attempt) {
+                         std::size_t cell) {
   for (const CellFaultDirective& d : directives) {
     if (d.cell != cell) continue;
-    if (d.attempt != 0 && d.attempt != attempt) continue;
     switch (d.mode) {
       case CellFaultDirective::Mode::kCrash:
         return "crash";
@@ -356,13 +240,13 @@ int cell_main(const std::string& request_text, std::string& response_out,
   std::string err;
   if (!Json::parse(request_text, doc, err)) {
     diag = "cell: bad request: " + err;
-    return kExitPermanent;
+    return kExitBadRequest;
   }
   const Json* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->as_string() != kCellRequestSchema) {
     diag = "cell: not a conga-cell-request-v1 document";
-    return kExitPermanent;
+    return kExitBadRequest;
   }
   const Json* key_v = doc.find("key");
   const Json* fp_v = doc.find("fingerprint");
@@ -372,11 +256,11 @@ int cell_main(const std::string& request_text, std::string& response_out,
       !fp_v->is_string() || store_v == nullptr || !store_v->is_string() ||
       spec_v == nullptr || !spec_v->is_object()) {
     diag = "cell: request missing key/fingerprint/store/spec";
-    return kExitPermanent;
+    return kExitBadRequest;
   }
 
   // Deterministic failure injection for tests and the crash-resilience CI
-  // lane; the supervisor decides which (cell, attempt) gets which action.
+  // lane; the supervisor decides which cell gets which action.
   const char* action = std::getenv("CONGA_CELL_FAULT_ACTION");
   if (action != nullptr) {
     if (std::strcmp(action, "crash") == 0) std::abort();
@@ -394,12 +278,12 @@ int cell_main(const std::string& request_text, std::string& response_out,
   ExperimentSpec spec;
   if (!spec_from_json(*spec_v, spec, err)) {
     diag = "cell: bad spec: " + err;
-    return kExitPermanent;
+    return kExitBadRequest;
   }
   workload::ExperimentConfig cfg;
   if (!to_experiment_config(spec, cfg, err)) {
     diag = "cell: " + err;
-    return kExitPermanent;
+    return kExitBadRequest;
   }
   const workload::ExperimentResult result = workload::run_fct_experiment(cfg);
 
@@ -421,19 +305,12 @@ int cell_main(const std::string& request_text, std::string& response_out,
   return 0;
 }
 
-bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
-                             const SupervisorOptions& sopts,
-                             const CellDoneFn& on_done,
-                             const volatile std::sig_atomic_t* shutdown,
-                             CampaignRun& out, SuperviseOutcome& outcome,
-                             std::string& err) {
-  outcome = SuperviseOutcome::kComplete;
-  if (spec.policies.empty() || spec.loads_pct.empty() || spec.seeds.empty() ||
-      spec.faults.empty()) {
-    err = "campaign axes must be non-empty "
-          "(policies, loads_pct, seeds, faults)";
-    return false;
-  }
+bool supervise_misses(CampaignRun& run, const std::vector<std::size_t>& misses,
+                      const RunOptions& ropts, const SupervisorOptions& sopts,
+                      const CellDoneFn& on_done,
+                      const volatile std::sig_atomic_t* shutdown,
+                      std::vector<std::uint8_t>& stored, bool& interrupted,
+                      std::string& err) {
   if (sopts.exe.empty() || ::access(sopts.exe.c_str(), X_OK) != 0) {
     err = "supervisor: cell executable '" + sopts.exe +
           "' is not executable";
@@ -442,55 +319,8 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
   std::vector<CellFaultDirective> faults;
   if (!parse_cell_fault(sopts.fault_spec, faults, err)) return false;
 
-  CampaignRun run;
-  run.spec = spec;
-  if (run.spec.cases.empty()) {
-    run.spec.cases.push_back({"baseline", net::testbed_baseline()});
-  }
-  run.fingerprint = code_fingerprint();
-  run.cells = expand_campaign(run.spec, run.fingerprint);
-  const std::size_t n = run.cells.size();
-  run.results.resize(n);
-  run.origins.assign(n, CellOrigin::kComputed);
-  run.stats.cells = n;
-
-  // Phase 1 — store lookups on the main thread; hits stream immediately.
-  std::vector<PendingCell> pending;
-  for (std::size_t i = 0; i < n; ++i) {
-    PendingCell pc;
-    pc.idx = i;
-    if (ropts.store == nullptr) {
-      pending.push_back(std::move(pc));
-      continue;
-    }
-    std::string load_err;
-    switch (ropts.store->load(run.cells[i].key, run.results[i], load_err)) {
-      case ResultStore::LoadStatus::kHit:
-        run.origins[i] = CellOrigin::kCached;
-        ++run.stats.hits;
-        if (on_done) {
-          on_done(i, run.cells[i], CellOrigin::kCached, &run.results[i]);
-        }
-        break;
-      case ResultStore::LoadStatus::kCorrupt:
-        ++run.stats.corrupt;
-        if (ropts.verbose) {
-          std::fprintf(stderr,
-                       "supervisor: corrupt entry %s (%s); recomputing\n",
-                       run.cells[i].key.c_str(), load_err.c_str());
-        }
-        pc.was_corrupt = true;
-        pending.push_back(std::move(pc));
-        break;
-      case ResultStore::LoadStatus::kMiss:
-        pending.push_back(std::move(pc));
-        break;
-    }
-  }
-  run.stats.misses = pending.size();
-
-  // Phase 2 — the supervision loop. Main thread only: it forks children,
-  // drains their pipes, enforces deadlines, and emits telemetry.
+  // Main thread only: it forks children, drains their pipes, enforces
+  // deadlines, and emits telemetry.
   std::signal(SIGPIPE, SIG_IGN);  // a dead child's stdin is a failed write
   telemetry::ComponentId comp = telemetry::kInvalidComponent;
   if (ropts.sink != nullptr) {
@@ -499,23 +329,13 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
   const std::size_t jobs =
       static_cast<std::size_t>(std::max(1, sopts.jobs));
   std::vector<ChildSlot> running;
-  std::vector<std::uint8_t> stored_flags(n, 0);
-  bool degraded = false;
-  bool degraded_warned = false;
-  bool stop_seen = false;
-  Clock::time_point stop_time;
-  bool drained = false;
+  std::size_t next = 0;
 
-  auto handle_exit = [&](ChildSlot& slot, int status) {
-    PendingCell pc = std::move(slot.cell);
-    const std::size_t idx = pc.idx;
+  // A cell runs once: a zero exit with a well-formed response is its
+  // result; anything else is a failed_cells entry.
+  auto finish = [&](const ChildSlot& slot, int status) {
+    const std::size_t idx = slot.idx;
     const Cell& cell = run.cells[idx];
-    if (slot.shutdown_kill) {
-      // In-flight at shutdown: goes back to pending untouched so a resumed
-      // run recomputes it (and only it).
-      pending.push_back(std::move(pc));
-      return;
-    }
     const bool exited = WIFEXITED(status);
     const int code = exited ? WEXITSTATUS(status) : 0;
     const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
@@ -523,149 +343,88 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
         exited ? static_cast<std::uint64_t>(code)
                : (0x100ULL | static_cast<std::uint64_t>(sig));
     telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorExit, comp,
-                    0, idx,
-                    (static_cast<std::uint64_t>(pc.attempt) << 32) | enc);
+                    0, idx, enc);
 
     if (exited && code == 0) {
       workload::ExperimentResult result;
-      bool stored = false;
+      bool cell_stored = false;
       std::string perr;
-      if (parse_response(slot.buf, cell.key, result, stored, perr)) {
-        run.results[idx] = result;
-        run.origins[idx] =
-            pc.was_corrupt ? CellOrigin::kRecomputed : CellOrigin::kComputed;
-        stored_flags[idx] = stored ? 1 : 0;
-        if (!sopts.store_root.empty() && !stored) {
-          degraded = true;
-          if (!degraded_warned) {
-            degraded_warned = true;
-            std::fprintf(stderr,
-                         "supervisor: WARNING store degraded, keeping "
-                         "results in memory\n");
-          }
-        }
+      if (parse_response(slot.buf, cell.key, result, cell_stored, perr)) {
+        run.results[idx] = std::move(result);
+        stored[idx] = cell_stored ? 1 : 0;
         if (ropts.verbose) {
-          std::fprintf(stderr, "  [%s: %zu flows, attempt %d]\n",
-                       cell_coordinate(cell).c_str(), result.flows,
-                       pc.attempt);
+          std::fprintf(stderr, "  [%s: %zu flows]\n",
+                       cell_coordinate(cell).c_str(), run.results[idx].flows);
         }
         if (on_done) on_done(idx, cell, run.origins[idx], &run.results[idx]);
         return;
       }
       if (ropts.verbose) {
-        std::fprintf(stderr, "supervisor: cell %zu attempt %d: %s\n", idx,
-                     pc.attempt, perr.c_str());
+        std::fprintf(stderr, "supervisor: cell %zu: %s\n", idx,
+                     perr.c_str());
       }
     }
 
-    AttemptRecord rec;
+    FailedCell f;
+    f.index = idx;
+    f.coordinate = cell_coordinate(cell);
+    f.key = cell.key;
     if (slot.timed_out) {
-      rec.outcome = "timeout";
-      rec.term_signal = sig;
-      ++run.stats.timeouts;
+      f.outcome = "timeout";
+      f.term_signal = sig;
     } else if (sig != 0) {
-      rec.outcome = "signal";
-      rec.term_signal = sig;
+      f.outcome = "signal";
+      f.term_signal = sig;
     } else {
-      rec.outcome = "exit";
-      rec.exit_code = code;
+      f.outcome = "exit";
+      f.exit_code = code;
     }
-    pc.attempts.push_back(rec);
-
-    const bool permanent = exited && code == kExitPermanent;
-    if (permanent || pc.attempt >= sopts.max_attempts) {
-      FailedCell f;
-      f.index = idx;
-      f.coordinate = cell_coordinate(cell);
-      f.key = cell.key;
-      f.attempts = pc.attempt;
-      f.outcome = pc.attempts.back().outcome;
-      f.exit_code = pc.attempts.back().exit_code;
-      f.term_signal = pc.attempts.back().term_signal;
-      f.quarantine_path =
-          write_quarantine(sopts.store_root, cell, pc, sopts.max_attempts);
-      run.origins[idx] = CellOrigin::kFailed;
-      ++run.stats.failed;
-      telemetry::emit(ropts.sink,
-                      telemetry::EventType::kSupervisorQuarantine, comp, 0,
-                      idx, static_cast<std::uint64_t>(pc.attempt));
-      {
-        std::fprintf(stderr,
-                     "supervisor: QUARANTINE cell %zu (%s) after %d "
-                     "attempt(s): %s\n",
-                     idx, f.coordinate.c_str(), f.attempts,
-                     f.outcome.c_str());
-      }
-      run.failed.push_back(std::move(f));
-      if (on_done) on_done(idx, cell, CellOrigin::kFailed, nullptr);
-      return;
-    }
-
-    const std::int64_t delay = backoff_delay_ms(cell.key, pc.attempt, sopts);
-    pc.attempts.back().backoff_ms = delay;
-    telemetry::emit(
-        ropts.sink, telemetry::EventType::kSupervisorRetry, comp, 0, idx,
-        (static_cast<std::uint64_t>(pc.attempt) << 32) |
-            static_cast<std::uint64_t>(delay));
-    ++run.stats.retries;
-    if (ropts.verbose) {
-      std::fprintf(stderr,
-                   "supervisor: cell %zu attempt %d failed (%s); retry in "
-                   "%lld ms\n",
-                   idx, pc.attempt, rec.outcome.c_str(),
-                   static_cast<long long>(delay));
-    }
-    pc.ready_at = Clock::now() + std::chrono::milliseconds(delay);
-    ++pc.attempt;
-    pending.push_back(std::move(pc));
+    run.origins[idx] = CellOrigin::kFailed;
+    ++run.stats.failed;
+    telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorQuarantine,
+                    comp, 0, idx, enc);
+    std::fprintf(stderr, "supervisor: FAILED cell %zu (%s): %s\n", idx,
+                 f.coordinate.c_str(), f.outcome.c_str());
+    run.failed.push_back(std::move(f));
+    if (on_done) on_done(idx, cell, CellOrigin::kFailed, nullptr);
   };
 
-  while (!pending.empty() || !running.empty()) {
-    const bool stopping = shutdown != nullptr && *shutdown != 0;
-    if (stopping && !stop_seen) {
-      stop_seen = true;
-      stop_time = Clock::now();
+  while (next < misses.size() || !running.empty()) {
+    if (shutdown != nullptr && *shutdown != 0) {
+      // Interrupted: in-flight cells are simply lost; whatever already
+      // completed is in the store for the rerun.
+      for (const ChildSlot& slot : running) {
+        ::kill(slot.pid, SIGKILL);
+        ::waitpid(slot.pid, nullptr, 0);
+        ::close(slot.out_fd);
+      }
+      interrupted = true;
+      return true;
     }
 
-    // Launch ready cells into free slots (never after shutdown).
-    if (!stopping) {
-      for (auto it = pending.begin();
-           it != pending.end() && running.size() < jobs;) {
-        if (it->ready_at > Clock::now()) {
-          ++it;
-          continue;
-        }
-        ChildSlot slot;
-        slot.cell = std::move(*it);
-        it = pending.erase(it);
-        const Cell& cell = run.cells[slot.cell.idx];
-        const std::string request =
-            make_cell_request(cell, run.fingerprint, sopts.store_root);
-        const char* action =
-            fault_action(faults, slot.cell.idx, slot.cell.attempt);
-        std::string spawn_err;
-        if (!spawn_cell(sopts.exe, request, action, slot.pid, slot.out_fd,
-                        spawn_err)) {
-          // fork/pipe exhaustion: treat as a failed attempt so the backoff
-          // gives the system air instead of spinning.
-          ChildSlot failed = std::move(slot);
-          failed.buf.clear();
-          std::fprintf(stderr, "supervisor: spawn failed: %s\n",
-                       spawn_err.c_str());
-          handle_exit(failed, 127 << 8);  // synthesized "exit 127" status
-          continue;
-        }
-        slot.started = Clock::now();
-        telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorSpawn,
-                        comp, 0, slot.cell.idx,
-                        static_cast<std::uint64_t>(slot.cell.attempt));
-        if (ropts.verbose) {
-          std::fprintf(stderr, "supervisor: spawn cell %zu attempt %d%s%s\n",
-                       slot.cell.idx, slot.cell.attempt,
-                       *action != '\0' ? " fault=" : "", action);
-        }
-        running.push_back(std::move(slot));
+    // Launch cells into free slots.
+    while (running.size() < jobs && next < misses.size()) {
+      ChildSlot slot;
+      slot.idx = misses[next++];
+      const std::string request = make_cell_request(
+          run.cells[slot.idx], run.fingerprint, sopts.store_root);
+      const char* action = fault_action(faults, slot.idx);
+      std::string spawn_err;
+      if (!spawn_cell(sopts.exe, request, action, slot.pid, slot.out_fd,
+                      spawn_err)) {
+        std::fprintf(stderr, "supervisor: spawn failed: %s\n",
+                     spawn_err.c_str());
+        finish(slot, 127 << 8);  // synthesized "exit 127" status
+        continue;
       }
+      slot.started = Clock::now();
+      telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorSpawn,
+                      comp, 0, slot.idx, 0);
+      if (ropts.verbose) {
+        std::fprintf(stderr, "supervisor: spawn cell %zu%s%s\n", slot.idx,
+                     *action != '\0' ? " fault=" : "", action);
+      }
+      running.push_back(std::move(slot));
     }
 
     // Drain child stdout so a chatty child never blocks on a full pipe.
@@ -678,46 +437,34 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
       if (r == running[si].pid) {
         drain_pipe(running[si]);  // final bytes between last drain and exit
         ::close(running[si].out_fd);
-        handle_exit(running[si], status);
+        finish(running[si], status);
         running.erase(running.begin() + static_cast<std::ptrdiff_t>(si));
       } else {
         ++si;
       }
     }
 
-    // Deadlines — and, during shutdown, the drain grace.
+    // Deadlines.
     for (ChildSlot& slot : running) {
-      if (slot.killed) continue;
-      const std::int64_t elapsed = ms_between(slot.started, Clock::now());
-      const bool over_deadline = elapsed > sopts.deadline_ms;
-      const bool over_grace =
-          stop_seen &&
-          ms_between(stop_time, Clock::now()) > sopts.drain_grace_ms;
-      if (!over_deadline && !over_grace) continue;
+      if (slot.timed_out ||
+          Clock::now() - slot.started <=
+              std::chrono::milliseconds(sopts.deadline_ms)) {
+        continue;
+      }
       ::kill(slot.pid, SIGKILL);
-      slot.killed = true;
-      if (over_deadline) {
-        slot.timed_out = true;
-        telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorTimeout,
-                        comp, 0, slot.cell.idx,
-                        static_cast<std::uint64_t>(slot.cell.attempt));
-        if (ropts.verbose) {
-          std::fprintf(stderr,
-                       "supervisor: cell %zu attempt %d hit the %lld ms "
-                       "deadline\n",
-                       slot.cell.idx, slot.cell.attempt,
-                       static_cast<long long>(sopts.deadline_ms));
-        }
-      } else {
-        slot.shutdown_kill = true;
+      slot.timed_out = true;
+      ++run.stats.timeouts;
+      telemetry::emit(ropts.sink, telemetry::EventType::kSupervisorTimeout,
+                      comp, 0, slot.idx,
+                      static_cast<std::uint64_t>(sopts.deadline_ms));
+      if (ropts.verbose) {
+        std::fprintf(stderr,
+                     "supervisor: cell %zu hit the %lld ms deadline\n",
+                     slot.idx, static_cast<long long>(sopts.deadline_ms));
       }
     }
 
-    if (stopping && running.empty()) {
-      drained = !pending.empty();
-      break;
-    }
-    if (!running.empty() || !pending.empty()) {
+    if (!running.empty()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
@@ -727,49 +474,6 @@ bool run_campaign_supervised(const CampaignSpec& spec, const RunOptions& ropts,
             [](const FailedCell& a, const FailedCell& b) {
               return a.index < b.index;
             });
-
-  run.stats.store = sopts.store_root.empty() && ropts.store == nullptr
-                        ? StoreHealth::kNone
-                        : (degraded ? StoreHealth::kDegraded
-                                    : StoreHealth::kOk);
-  std::uint64_t writes = 0;
-  for (const std::uint8_t s : stored_flags) writes += s;
-  run.stats.store_writes = writes;
-
-  // Phase 3 — campaign cache telemetry, same shape as run_campaign().
-  if (ropts.sink != nullptr && !drained) {
-    const telemetry::ComponentId ccomp =
-        ropts.sink->intern_component("campaign/" + run.spec.name);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
-      switch (run.origins[i]) {
-        case CellOrigin::kCached:
-          telemetry::emit(ropts.sink, telemetry::EventType::kCampaignCellHit,
-                          ccomp, 0, i, key_hash);
-          break;
-        case CellOrigin::kComputed:
-          telemetry::emit(ropts.sink,
-                          telemetry::EventType::kCampaignCellMiss, ccomp, 0,
-                          i, key_hash);
-          break;
-        case CellOrigin::kRecomputed:
-          telemetry::emit(ropts.sink,
-                          telemetry::EventType::kCampaignCellMiss, ccomp, 0,
-                          i, key_hash | kRecomputedFlag);
-          break;
-        case CellOrigin::kFailed:
-          break;  // kSupervisorQuarantine already told the story
-      }
-      if (stored_flags[i] != 0) {
-        telemetry::emit(ropts.sink,
-                        telemetry::EventType::kCampaignStoreWrite, ccomp, 0,
-                        i, key_hash);
-      }
-    }
-  }
-
-  outcome = drained ? SuperviseOutcome::kDrained : SuperviseOutcome::kComplete;
-  out = std::move(run);
   return true;
 }
 

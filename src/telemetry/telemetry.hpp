@@ -126,10 +126,11 @@ enum class EventType : std::uint8_t {
   kCampaignVerifyRecompute,
   // kSupervisor — child-process supervision decisions, emitted by the
   // campaign supervisor on the main thread as they happen. a: cell index in
-  // canonical expansion order. b: spawn: attempt number (1-based);
-  // exit: (attempt << 32) | wait status encoding (exit code, or 0x100|signal
-  // for signal deaths); timeout: attempt; retry: (attempt << 32) | backoff
-  // delay in ms; quarantine: total attempts consumed.
+  // canonical expansion order. b: spawn: 0; exit: wait status encoding
+  // (exit code, or 0x100|signal for signal deaths); timeout: the deadline
+  // in ms; quarantine: the cell entered failed_cells, b as for exit.
+  // kSupervisorRetry is retired (cells run once) and never emitted; it
+  // stays because the enum is append-only.
   kSupervisorSpawn,
   kSupervisorExit,
   kSupervisorTimeout,

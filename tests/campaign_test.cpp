@@ -421,6 +421,42 @@ TEST(CampaignTelemetry, CacheDecisionsAreTraced) {
   ASSERT_TRUE(telemetry::parse_category("campaign", cat));
   EXPECT_EQ(cat, telemetry::Category::kCampaign);
 }
+
+TEST(CampaignTelemetry, DegradedStoreEmitsNoStoreWrites) {
+  const TempDir dir("degraded");
+  fs::create_directories(dir.path);
+  const std::string blocker = (dir.path / "blocker").string();
+  std::FILE* f = std::fopen(blocker.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("not a directory\n", f);
+  std::fclose(f);
+  // A store root under a regular file can never be created, on any uid.
+  ResultStore store(blocker + "/store");
+  const CampaignSpec spec = tiny_campaign();
+
+  CampaignRun storeless;
+  std::string err;
+  ASSERT_TRUE(run_campaign(spec, RunOptions{}, storeless, err)) << err;
+
+  telemetry::TraceSink sink;
+  RunOptions opts;
+  opts.store = &store;
+  opts.sink = &sink;
+  CampaignRun run;
+  ASSERT_TRUE(run_campaign(spec, opts, run, err)) << err;
+
+  EXPECT_EQ(report_json(run), report_json(storeless));
+  EXPECT_EQ(run.stats.store, StoreHealth::kDegraded);
+  EXPECT_EQ(run.stats.store_writes, 0U);
+  std::size_t writes = 0;
+  std::size_t misses = 0;
+  for (const telemetry::Event& e : sink.all_events()) {
+    if (e.type == telemetry::EventType::kCampaignStoreWrite) ++writes;
+    if (e.type == telemetry::EventType::kCampaignCellMiss) ++misses;
+  }
+  EXPECT_EQ(writes, 0U);
+  EXPECT_EQ(misses, 1U);
+}
 #endif  // CONGA_TELEMETRY
 
 }  // namespace

@@ -1,7 +1,8 @@
 // End-to-end CLI tests for conga_serve, driving the real binary
 // (CONGA_SERVE_BIN): supervised containment of crashing and hanging cells,
-// SIGTERM drain + resume, SIGKILL + resume, store gc/stat maintenance,
-// graceful store degradation, and the documented 0/1/2 exit codes.
+// SIGTERM / SIGKILL interruption + rerun, store gc/stat maintenance,
+// graceful store degradation, the documented 0/1/2 exit codes, and the
+// in-process and supervised runners agreeing byte-for-byte.
 //
 // Every scenario that needs a child failure injects it deterministically
 // through CONGA_CELL_FAULT; nothing here depends on timing beyond "a
@@ -98,19 +99,8 @@ bool wait_until(const std::function<bool()>& pred, int timeout_ms) {
   return pred();
 }
 
-std::size_t count_lines(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) return 0;
-  std::size_t n = 0;
-  for (const char c : text) {
-    if (c == '\n') ++n;
-  }
-  return n;
-}
-
-/// A fast campaign request: one shrunken-testbed case, `policies` cells.
-void write_tiny_request(const std::string& path,
-                        const std::vector<std::string>& policies) {
+/// A fast campaign: one shrunken-testbed case, `policies` cells.
+CampaignSpec tiny_campaign(const std::vector<std::string>& policies) {
   CampaignSpec c;
   c.name = "tiny";
   c.policies = policies;
@@ -121,7 +111,19 @@ void write_tiny_request(const std::string& path,
   c.warmup_ns = sim::milliseconds(1);
   c.measure_ns = sim::milliseconds(2);
   c.max_drain_ns = sim::milliseconds(300);
-  write_file(path, json_of_campaign(c).dump() + "\n");
+  return c;
+}
+
+void write_tiny_request(const std::string& path,
+                        const std::vector<std::string>& policies) {
+  write_file(path, json_of_campaign(tiny_campaign(policies)).dump() + "\n");
+}
+
+ResultStore::StoreStat store_stat(const std::string& root) {
+  ResultStore::StoreStat st;
+  std::string err;
+  EXPECT_TRUE(ResultStore(root).stat(st, err)) << err;
+  return st;
 }
 
 Json parse_or_die(const std::string& path) {
@@ -183,14 +185,34 @@ TEST(ServeCli, ExitCodesAndErrorReporting) {
       << err_text;
   EXPECT_EQ(run_cmd(std::string(kBin) + " store gc 2>/dev/null"), 2);
 
-  // 1: a quarantined cell fails the run without killing it.
+  // 2: there is no `serve` subcommand and no retry flag: rejected, not
+  // silently ignored.
+  EXPECT_EQ(run_cmd(std::string(kBin) + " serve --spool " + tmp.sub("s") +
+                    " >/dev/null 2>/dev/null"),
+            2);
+  EXPECT_EQ(run_cmd(std::string(kBin) +
+                    " run --supervise --max-attempts 2 >/dev/null 2>" +
+                    err_path),
+            2);
+  ASSERT_TRUE(read_file(err_path, err_text));
+  EXPECT_NE(err_text.find("unknown flag '--max-attempts'"), std::string::npos)
+      << err_text;
+
+  // 1: a failed cell fails the run without killing it.
   const std::string req = tmp.sub("req.json");
   write_tiny_request(req, {"ecmp"});
   EXPECT_EQ(run_cmd("CONGA_CELL_FAULT=crash:0 " + std::string(kBin) +
                     " run --campaign " + req +
-                    " --supervise --max-attempts 1 --backoff-base-ms 20"
-                    " --backoff-cap-ms 50 >/dev/null 2>/dev/null"),
+                    " --supervise >/dev/null 2>/dev/null"),
             1);
+
+  // 1: so does a torn store write — the child dies before its rename.
+  EXPECT_EQ(run_cmd("CONGA_CELL_FAULT=tear:0 " + std::string(kBin) +
+                    " run --campaign " + req + " --supervise --store " +
+                    tmp.sub("store") + " >/dev/null 2>/dev/null"),
+            1);
+  EXPECT_EQ(store_stat(tmp.sub("store")).entries, 0u);
+  EXPECT_EQ(store_stat(tmp.sub("store")).tmp_files, 1u);
 }
 
 TEST(ServeCli, ContainmentCrashAndHang) {
@@ -205,7 +227,7 @@ TEST(ServeCli, ContainmentCrashAndHang) {
                     " --out " + ref_report + " 2>/dev/null"),
             0);
 
-  // Faulted: cell 0 aborts on every attempt, cell 1 hangs on every attempt.
+  // Faulted: cell 0 aborts, cell 1 hangs. Each runs once.
   const std::string store = tmp.sub("store");
   const std::string report = tmp.sub("report.json");
   const std::string stats = tmp.sub("stats.json");
@@ -213,8 +235,7 @@ TEST(ServeCli, ContainmentCrashAndHang) {
       run_cmd("CONGA_CELL_FAULT=crash:0,hang:1 " + std::string(kBin) +
               " run --campaign " + req + " --supervise --store " + store +
               " --out " + report + " --stats-out " + stats +
-              " --jobs 2 --deadline-ms 1500 --max-attempts 2"
-              " --backoff-base-ms 20 --backoff-cap-ms 100 2>/dev/null"),
+              " --jobs 2 --deadline-ms 1500 2>/dev/null"),
       1);
 
   // The supervisor survived and wrote a complete report with an explicit
@@ -227,27 +248,15 @@ TEST(ServeCli, ContainmentCrashAndHang) {
   EXPECT_EQ(crash.find("coordinate")->as_string(), "t|ecmp|30|1|7|none|1");
   EXPECT_EQ(crash.find("outcome")->as_string(), "signal");
   EXPECT_EQ(crash.find("signal")->as_int(), SIGABRT);
-  EXPECT_EQ(crash.find("attempts")->as_int(), 2);
+  EXPECT_EQ(crash.find("attempts"), nullptr);
   const Json& hang = failed->items()[1];
   EXPECT_EQ(hang.find("coordinate")->as_string(), "t|conga|30|1|7|none|1");
   EXPECT_EQ(hang.find("outcome")->as_string(), "timeout");
-  EXPECT_EQ(hang.find("attempts")->as_int(), 2);
+  EXPECT_EQ(hang.find("signal")->as_int(), SIGKILL);
 
-  // Quarantine poison records exist and carry the attempt log, including
-  // the deterministic backoff the supervisor actually used.
-  for (const Json& f : failed->items()) {
-    const std::string qpath = f.find("quarantine")->as_string();
-    ASSERT_FALSE(qpath.empty());
-    const Json q = parse_or_die(qpath);
-    EXPECT_EQ(q.find("schema")->as_string(), "conga-quarantine-v1");
-    EXPECT_EQ(q.find("key")->as_string(), f.find("key")->as_string());
-    ASSERT_EQ(q.find("attempts")->items().size(), 2u);
-    SupervisorOptions bopts;
-    bopts.backoff_base_ms = 20;
-    bopts.backoff_cap_ms = 100;
-    EXPECT_EQ(q.find("attempts")->items()[0].find("backoff_ms")->as_int(),
-              backoff_delay_ms(f.find("key")->as_string(), 1, bopts));
-  }
+  // The failed_cells entry is the whole record: no poison files.
+  EXPECT_EQ(crash.find("quarantine"), nullptr);
+  EXPECT_FALSE(fs::exists(fs::path(store) / "quarantine"));
 
   // The undisturbed cell is byte-identical to the reference run's.
   const auto ref_cells = cells_by_key(parse_or_die(ref_report));
@@ -266,117 +275,76 @@ TEST(ServeCli, ContainmentCrashAndHang) {
   // Stats tell the failure story.
   const Json st = parse_or_die(stats);
   EXPECT_EQ(st.find("failed")->as_uint(), 2u);
-  EXPECT_EQ(st.find("retries")->as_uint(), 2u);
-  EXPECT_EQ(st.find("timeouts")->as_uint(), 2u);
+  EXPECT_EQ(st.find("retries"), nullptr);
+  EXPECT_EQ(st.find("timeouts")->as_uint(), 1u);
+  EXPECT_EQ(st.find("store_writes")->as_uint(), 1u);
   EXPECT_EQ(st.find("store")->as_string(), "ok");
 }
 
-TEST(ServeCli, SigtermDrainsAndResumesByteIdentical) {
-  TempDir tmp("drain");
-  const std::string spool = tmp.sub("spool");
+/// Interrupts a supervised run with `sig` while cell 2 hangs and cells 0
+/// and 1 are stored, then reruns it: no report and no torn state from the
+/// interrupted run, and a rerun byte-identical to an undisturbed run that
+/// reuses exactly the two stored cells.
+void interrupt_and_rerun(int sig, const std::string& tag) {
+  TempDir tmp(tag);
+  const std::string req = tmp.sub("req.json");
   const std::string store = tmp.sub("store");
-  fs::create_directories(spool);
-  write_tiny_request(spool + "/job.json", {"ecmp", "conga", "letflow"});
+  write_tiny_request(req, {"ecmp", "conga", "letflow"});
 
   // Reference: same request, never interrupted.
-  const std::string refspool = tmp.sub("refspool");
-  fs::create_directories(refspool);
-  write_tiny_request(refspool + "/job.json", {"ecmp", "conga", "letflow"});
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + refspool +
-                    " --store " + tmp.sub("refstore") +
-                    " --once 2>/dev/null"),
+  const std::string ref_report = tmp.sub("ref.json");
+  ASSERT_EQ(run_cmd(std::string(kBin) + " run --campaign " + req +
+                    " --supervise --store " + tmp.sub("refstore") +
+                    " --out " + ref_report + " 2>/dev/null"),
             0);
 
-  // Daemon: cell 2 hangs (deadline far away), cells 0 and 1 complete.
+  const std::string report = tmp.sub("report.json");
   const pid_t pid = spawn_cmd(
-      "env CONGA_CELL_FAULT=hang:2 " + std::string(kBin) +
-      " serve --spool " + spool + " --store " + store +
-      " --deadline-ms 60000 --drain-grace-ms 300 2>" + tmp.sub("d1.err"));
-  ASSERT_GT(pid, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return count_lines(spool + "/job.out.jsonl") >= 2; }, 60000));
-
-  // SIGTERM: drain the in-flight hanging child, fsync a resume marker,
-  // exit 0.
-  ASSERT_EQ(::kill(pid, SIGTERM), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  EXPECT_TRUE(fs::exists(spool + "/job.resume.json"));
-  EXPECT_FALSE(fs::exists(spool + "/job.report.json"));
-  const Json marker = parse_or_die(spool + "/job.resume.json");
-  EXPECT_EQ(marker.find("schema")->as_string(), "conga-spool-resume-v1");
-  EXPECT_EQ(marker.find("cells")->as_uint(), 3u);
-  EXPECT_EQ(marker.find("resolved")->as_uint(), 2u);
-
-  // Restart (no fault): completed cells come back as hits, only the
-  // in-flight cell is recomputed, and the report is byte-identical.
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + spool +
-                    " --store " + store + " --once 2>" + tmp.sub("d2.err")),
-            0);
-  EXPECT_FALSE(fs::exists(spool + "/job.resume.json"));
-  std::string ref_bytes;
-  std::string got_bytes;
-  ASSERT_TRUE(read_file(refspool + "/job.report.json", ref_bytes));
-  ASSERT_TRUE(read_file(spool + "/job.report.json", got_bytes));
-  EXPECT_EQ(got_bytes, ref_bytes);
-  std::string serve_log;
-  ASSERT_TRUE(read_file(tmp.sub("d2.err"), serve_log));
-  EXPECT_NE(serve_log.find("2 hits"), std::string::npos) << serve_log;
-}
-
-TEST(ServeCli, SigkillLeavesNoTornStateAndResumes) {
-  TempDir tmp("sigkill");
-  const std::string spool = tmp.sub("spool");
-  const std::string store = tmp.sub("store");
-  fs::create_directories(spool);
-  write_tiny_request(spool + "/job.json", {"ecmp", "conga", "letflow"});
-
-  const std::string refspool = tmp.sub("refspool");
-  fs::create_directories(refspool);
-  write_tiny_request(refspool + "/job.json", {"ecmp", "conga", "letflow"});
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + refspool +
-                    " --store " + tmp.sub("refstore") +
-                    " --once 2>/dev/null"),
-            0);
-
-  const pid_t pid = spawn_cmd(
-      "env CONGA_CELL_FAULT=hang:2 " + std::string(kBin) +
-      " serve --spool " + spool + " --store " + store +
+      "env CONGA_CELL_FAULT=hang:2 " + std::string(kBin) + " run --campaign " +
+      req + " --supervise --store " + store + " --out " + report +
       " --deadline-ms 60000 2>/dev/null");
   ASSERT_GT(pid, 0);
-  ASSERT_TRUE(wait_until(
-      [&] { return count_lines(spool + "/job.out.jsonl") >= 2; }, 60000));
+  ASSERT_TRUE(wait_until([&] { return store_stat(store).entries >= 2; },
+                         60000));
 
-  // SIGKILL: no drain, no marker — the store's tmp+rename discipline is the
-  // only thing protecting the entries.
-  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  ASSERT_EQ(::kill(pid, sig), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  EXPECT_FALSE(fs::exists(spool + "/job.report.json"));
+  if (sig == SIGKILL) {
+    ASSERT_TRUE(WIFSIGNALED(status));
+  } else {
+    // SIGTERM: in-flight children are killed, exit 2, no report.
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+  EXPECT_FALSE(fs::exists(report));
 
-  // No torn entries: both completed cells load as verified hits.
-  ResultStore rs(store);
-  ResultStore::StoreStat st;
-  std::string err;
-  ASSERT_TRUE(rs.stat(st, err)) << err;
+  // No torn entries: the store's tmp+rename discipline leaves the two
+  // completed cells whole and nothing half-written.
+  const ResultStore::StoreStat st = store_stat(store);
   EXPECT_EQ(st.entries, 2u);
   EXPECT_EQ(st.tmp_files, 0u);
 
-  // Restart: byte-identical report, exactly the two stored cells reused.
-  ASSERT_EQ(run_cmd(std::string(kBin) + " serve --spool " + spool +
-                    " --store " + store + " --once 2>" + tmp.sub("k.err")),
+  // Rerun: byte-identical report, exactly the two stored cells reused.
+  const std::string stats = tmp.sub("stats.json");
+  ASSERT_EQ(run_cmd(std::string(kBin) + " run --campaign " + req +
+                    " --supervise --store " + store + " --out " + report +
+                    " --stats-out " + stats + " 2>/dev/null"),
             0);
   std::string ref_bytes;
   std::string got_bytes;
-  ASSERT_TRUE(read_file(refspool + "/job.report.json", ref_bytes));
-  ASSERT_TRUE(read_file(spool + "/job.report.json", got_bytes));
+  ASSERT_TRUE(read_file(ref_report, ref_bytes));
+  ASSERT_TRUE(read_file(report, got_bytes));
   EXPECT_EQ(got_bytes, ref_bytes);
-  std::string serve_log;
-  ASSERT_TRUE(read_file(tmp.sub("k.err"), serve_log));
-  EXPECT_NE(serve_log.find("2 hits"), std::string::npos) << serve_log;
+  EXPECT_EQ(parse_or_die(stats).find("hits")->as_uint(), 2u);
+}
+
+TEST(ServeCli, SigtermInterruptsAndRerunResumesByteIdentical) {
+  interrupt_and_rerun(SIGTERM, "sigterm");
+}
+
+TEST(ServeCli, SigkillInterruptsAndRerunResumesByteIdentical) {
+  interrupt_and_rerun(SIGKILL, "sigkill");
 }
 
 TEST(ServeCli, StoreGcAndStat) {
@@ -385,22 +353,19 @@ TEST(ServeCli, StoreGcAndStat) {
   const std::string store = tmp.sub("store");
   write_tiny_request(req, {"ecmp", "conga"});
 
-  // tear:0@1 — the first attempt of cell 0 dies between tmp write and
-  // rename (orphaning a tmp file); the retry succeeds, so the campaign
-  // still completes cleanly.
-  ASSERT_EQ(run_cmd("CONGA_CELL_FAULT=tear:0@1 " + std::string(kBin) +
+  // tear:0 — cell 0's child dies between tmp write and rename, orphaning
+  // a tmp file; the cell fails (exit 1) and cell 1 is stored.
+  ASSERT_EQ(run_cmd("CONGA_CELL_FAULT=tear:0 " + std::string(kBin) +
                     " run --campaign " + req + " --supervise --store " +
-                    store +
-                    " --backoff-base-ms 20 --backoff-cap-ms 50"
-                    " >/dev/null 2>/dev/null"),
-            0);
+                    store + " >/dev/null 2>/dev/null"),
+            1);
 
   ResultStore rs(store);
   ResultStore::StoreStat st;
   std::string err;
   ASSERT_TRUE(rs.stat(st, err)) << err;
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.tmp_files, 1u);  // the orphan from the torn first attempt
+  EXPECT_EQ(st.entries, 1u);
+  EXPECT_EQ(st.tmp_files, 1u);  // the orphan from the torn write
 
   // stat (CLI): deterministic JSON with per-fingerprint buckets.
   const std::string stat_out = tmp.sub("stat.json");
@@ -409,7 +374,7 @@ TEST(ServeCli, StoreGcAndStat) {
             0);
   const Json doc = parse_or_die(stat_out);
   EXPECT_EQ(doc.find("schema")->as_string(), "conga-store-stat-v1");
-  EXPECT_EQ(doc.find("entries")->as_uint(), 2u);
+  EXPECT_EQ(doc.find("entries")->as_uint(), 1u);
   EXPECT_EQ(doc.find("tmp_files")->as_uint(), 1u);
   ASSERT_EQ(doc.find("by_fingerprint")->items().size(), 1u);
   EXPECT_GT(doc.find("by_fingerprint")->items()[0].find("entries")->as_uint(),
@@ -428,14 +393,14 @@ TEST(ServeCli, StoreGcAndStat) {
             0);
   ASSERT_TRUE(rs.stat(st, err));
   EXPECT_EQ(st.tmp_files, 0u);
-  EXPECT_EQ(st.entries, 2u);
+  EXPECT_EQ(st.entries, 1u);
 
   // --keep-fingerprints current keeps this build's entries...
   ASSERT_EQ(run_cmd(std::string(kBin) + " store gc --store " + store +
                     " --keep-fingerprints current >/dev/null 2>/dev/null"),
             0);
   ASSERT_TRUE(rs.stat(st, err));
-  EXPECT_EQ(st.entries, 2u);
+  EXPECT_EQ(st.entries, 1u);
 
   // ...while an unrelated keep list removes them.
   ASSERT_EQ(run_cmd(std::string(kBin) + " store gc --store " + store +
@@ -487,6 +452,72 @@ TEST(ServeCli, UnwritableStoreDegradesGracefully) {
     ++warnings;
   }
   EXPECT_EQ(warnings, 1u);
+}
+
+/// The two runners share one core: on the same request they must agree
+/// byte-for-byte, cold and warm, and each must serve the other's store.
+TEST(ServeCli, InProcessAndSupervisedRunnersAgree) {
+  TempDir tmp("runners");
+  const CampaignSpec spec = tiny_campaign({"ecmp", "conga", "letflow"});
+  ResultStore ip_store(tmp.sub("ip"));
+  ResultStore sv_store(tmp.sub("sv"));
+
+  auto in_process = [&](ResultStore& store) {
+    RunOptions ro;
+    ro.jobs = 2;
+    ro.store = &store;
+    CampaignRun run;
+    std::string err;
+    EXPECT_TRUE(run_campaign(spec, ro, run, err)) << err;
+    return run;
+  };
+  auto supervised = [&](ResultStore& store) {
+    RunOptions ro;
+    ro.jobs = 2;
+    ro.store = &store;
+    SupervisorOptions so;
+    so.exe = kBin;
+    so.store_root = store.root();
+    so.jobs = 2;
+    CampaignRun run;
+    SuperviseOutcome outcome = SuperviseOutcome::kDrained;
+    std::string err;
+    EXPECT_TRUE(run_campaign_supervised(spec, ro, so, nullptr, nullptr, run,
+                                        outcome, err))
+        << err;
+    EXPECT_EQ(outcome, SuperviseOutcome::kComplete);
+    return run;
+  };
+  auto expect_same = [](const CampaignRun& a, const CampaignRun& b) {
+    EXPECT_EQ(report_json(a), report_json(b));
+    EXPECT_EQ(a.origins, b.origins);
+    EXPECT_EQ(a.stats.hits, b.stats.hits);
+    EXPECT_EQ(a.stats.misses, b.stats.misses);
+    EXPECT_EQ(a.stats.store_writes, b.stats.store_writes);
+    EXPECT_EQ(a.stats.store, b.stats.store);
+  };
+
+  const CampaignRun ip_cold = in_process(ip_store);
+  const CampaignRun sv_cold = supervised(sv_store);
+  EXPECT_EQ(ip_cold.stats.misses, 3u);
+  EXPECT_EQ(ip_cold.stats.store_writes, 3u);
+  EXPECT_TRUE(ip_cold.failed.empty());
+  expect_same(ip_cold, sv_cold);
+
+  const CampaignRun ip_warm = in_process(ip_store);
+  const CampaignRun sv_warm = supervised(sv_store);
+  EXPECT_EQ(ip_warm.stats.hits, 3u);
+  EXPECT_EQ(ip_warm.stats.store_writes, 0u);
+  expect_same(ip_warm, sv_warm);
+  EXPECT_EQ(report_json(ip_warm), report_json(ip_cold));
+
+  // Cross-store: each runner is served entirely by the other's entries.
+  const CampaignRun ip_on_sv = in_process(sv_store);
+  const CampaignRun sv_on_ip = supervised(ip_store);
+  EXPECT_EQ(ip_on_sv.stats.hits, 3u);
+  EXPECT_EQ(sv_on_ip.stats.hits, 3u);
+  expect_same(ip_on_sv, sv_on_ip);
+  EXPECT_EQ(report_json(ip_on_sv), report_json(ip_cold));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Supervisor unit tests: the deterministic backoff schedule, the
-// CONGA_CELL_FAULT directive grammar, fault -> (cell, attempt) matching,
-// and the child-side cell_main protocol (request in, response + store entry
-// out) exercised in-process — the fork/exec loop itself is covered end to
-// end by serve_cli_test.
+// Supervisor unit tests: the CONGA_CELL_FAULT directive grammar, fault ->
+// cell matching, and the child-side cell_main protocol (request in,
+// response + store entry out) exercised in-process — the fork/exec loop
+// itself is covered end to end by serve_cli_test.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -36,50 +35,17 @@ struct TempDir {
   }
 };
 
-TEST(Backoff, DeterministicPerKeyAndAttempt) {
-  SupervisorOptions opts;
-  opts.backoff_base_ms = 100;
-  opts.backoff_cap_ms = 2000;
-  const std::int64_t a1 = backoff_delay_ms("cell-a", 1, opts);
-  const std::int64_t a1_again = backoff_delay_ms("cell-a", 1, opts);
-  EXPECT_EQ(a1, a1_again);  // pure function: reruns retry on one schedule
-  // Distinct keys get distinct jitter (with overwhelming probability for
-  // these two fixed strings — this is a regression pin, not a property).
-  EXPECT_NE(backoff_delay_ms("cell-a", 1, opts),
-            backoff_delay_ms("cell-b", 1, opts));
-}
-
-TEST(Backoff, GrowsExponentiallyToTheCap) {
-  SupervisorOptions opts;
-  opts.backoff_base_ms = 100;
-  opts.backoff_cap_ms = 1000;
-  const std::int64_t jitter_span = opts.backoff_base_ms / 4;
-  for (int attempt = 1; attempt <= 10; ++attempt) {
-    const std::int64_t d = backoff_delay_ms("k", attempt, opts);
-    const std::int64_t floor =
-        std::min<std::int64_t>(opts.backoff_cap_ms,
-                               opts.backoff_base_ms << (attempt - 1));
-    EXPECT_GE(d, floor) << "attempt " << attempt;
-    EXPECT_LT(d, floor + jitter_span) << "attempt " << attempt;
-  }
-  // Far past the cap the shifted base would overflow without the clamp.
-  const std::int64_t huge = backoff_delay_ms("k", 1000, opts);
-  EXPECT_GE(huge, opts.backoff_cap_ms);
-  EXPECT_LT(huge, opts.backoff_cap_ms + jitter_span);
-}
-
 TEST(FaultSpec, ParsesDirectiveLists) {
   std::vector<CellFaultDirective> out;
   std::string err;
-  ASSERT_TRUE(parse_cell_fault("crash:0,hang:2@1,tear:3", out, err)) << err;
+  ASSERT_TRUE(parse_cell_fault("crash:0,hang:2,tear:3", out, err)) << err;
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].mode, CellFaultDirective::Mode::kCrash);
   EXPECT_EQ(out[0].cell, 0u);
-  EXPECT_EQ(out[0].attempt, 0);  // every attempt
   EXPECT_EQ(out[1].mode, CellFaultDirective::Mode::kHang);
   EXPECT_EQ(out[1].cell, 2u);
-  EXPECT_EQ(out[1].attempt, 1);
   EXPECT_EQ(out[2].mode, CellFaultDirective::Mode::kTear);
+  EXPECT_EQ(out[2].cell, 3u);
 
   ASSERT_TRUE(parse_cell_fault("", out, err));
   EXPECT_TRUE(out.empty());
@@ -92,19 +58,20 @@ TEST(FaultSpec, RejectsMalformedDirectives) {
   EXPECT_NE(err.find("unknown CONGA_CELL_FAULT mode"), std::string::npos);
   EXPECT_FALSE(parse_cell_fault("crash", out, err));
   EXPECT_FALSE(parse_cell_fault("crash:x", out, err));
-  EXPECT_FALSE(parse_cell_fault("crash:1@0", out, err));
   EXPECT_FALSE(parse_cell_fault("crash:-1", out, err));
+  // Cells run once, so there is no attempt to pin a fault to.
+  EXPECT_FALSE(parse_cell_fault("crash:1@1", out, err));
+  EXPECT_NE(err.find("bad cell index"), std::string::npos);
 }
 
-TEST(FaultSpec, ActionMatchesCellAndAttempt) {
+TEST(FaultSpec, ActionMatchesCell) {
   std::vector<CellFaultDirective> d;
   std::string err;
-  ASSERT_TRUE(parse_cell_fault("crash:0,hang:2@1", d, err)) << err;
-  EXPECT_STREQ(fault_action(d, 0, 1), "crash");
-  EXPECT_STREQ(fault_action(d, 0, 3), "crash");  // @ omitted: every attempt
-  EXPECT_STREQ(fault_action(d, 2, 1), "hang");
-  EXPECT_STREQ(fault_action(d, 2, 2), "");  // attempt-pinned: only @1
-  EXPECT_STREQ(fault_action(d, 1, 1), "");
+  ASSERT_TRUE(parse_cell_fault("crash:0,hang:2,tear:3", d, err)) << err;
+  EXPECT_STREQ(fault_action(d, 0), "crash");
+  EXPECT_STREQ(fault_action(d, 2), "hang");
+  EXPECT_STREQ(fault_action(d, 3), "tear");
+  EXPECT_STREQ(fault_action(d, 1), "");
 }
 
 TEST(SelfExe, ResolvesARealExecutable) {
@@ -186,7 +153,7 @@ TEST(CellMain, RejectsBadRequestsPermanently) {
   std::string diag;
   EXPECT_EQ(cell_main("not json", response, diag), 3);
   EXPECT_EQ(cell_main("{\"schema\":\"wrong\"}", response, diag), 3);
-  // Unresolvable spec (unknown policy): exit 3, retrying cannot help.
+  // Unresolvable spec (unknown policy): exit 3, a bad request.
   ExperimentSpec spec = tiny_spec();
   spec.policy = "no-such-policy";
   EXPECT_EQ(cell_main(make_request(spec, "k", ""), response, diag), 3);

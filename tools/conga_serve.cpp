@@ -5,7 +5,7 @@
 // reuses every cell the store already has for this exact code, simulates
 // only the misses, and writes a conga-campaign-v1 report that is
 // byte-identical whether it came from a cold run, a warm run, a supervised
-// run, or a killed-and-resumed run. Cache statistics go to --stats-out /
+// run, or an interrupted-and-rerun run. Cache statistics go to --stats-out /
 // stderr, never into the report.
 //
 // Subcommands:
@@ -23,24 +23,14 @@
 //                                              any divergence is a poisoned
 //                                              store and exits nonzero
 //           --supervise                        run each miss in an isolated
-//                                              child process: crashes/hangs
-//                                              are retried then quarantined,
-//                                              never fatal to the sweep
+//                                              child process: a crash or hang
+//                                              fails that cell (failed_cells),
+//                                              never the sweep; SIGTERM/SIGINT
+//                                              kills in-flight cells and exits
+//                                              2 without a report (rerun to
+//                                              resume from the store)
 //           --deadline-ms N                    per-cell wall-clock budget
-//           --max-attempts N                   attempts before quarantine
-//           --backoff-base-ms N / --backoff-cap-ms N   retry schedule
 //           --verbose                          per-cell progress on stderr
-//   serve   long-lived spool daemon (implies supervision)
-//           --spool DIR                        watch DIR for <name>.json
-//                                              requests; stream results to
-//                                              <name>.out.jsonl; write
-//                                              <name>.report.json atomically
-//           --store DIR, --jobs N, supervision flags as for run
-//           --poll-ms N                        idle re-scan interval (500)
-//           --once                             process current requests, exit
-//           --drain-grace-ms N                 SIGTERM/SIGINT: budget for
-//                                              in-flight children before a
-//                                              resume marker is written
 //   store   maintain a result store
 //           gc    --store DIR [--tmp-age-seconds N] [--keep-fingerprints CSV]
 //                 remove orphaned tmp files older than N seconds (3600) and,
@@ -53,11 +43,11 @@
 //   verdict compare two reports offline
 //           --report FILE --baseline FILE [--out FILE] [--tolerance X]
 //
-// The CONGA_CELL_FAULT env knob ("crash:0,hang:2@1,tear:3") injects
-// deterministic child failures under --supervise / serve — test-only.
+// The CONGA_CELL_FAULT env knob ("crash:0,hang:2,tear:3") injects
+// deterministic child failures under --supervise — test-only.
 //
-// Exit status: 0 success; 1 regression verdict, store poisoning, or
-// quarantined cells; 2 usage or I/O error.
+// Exit status: 0 success; 1 regression verdict, store poisoning, or failed
+// cells; 2 usage or I/O error, or an interrupted --supervise run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,7 +57,6 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fingerprint.hpp"
-#include "campaign/spool.hpp"
 #include "campaign/supervisor.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -88,13 +77,7 @@ int usage() {
       "                          [--baseline FILE --verdict-out FILE]\n"
       "                          [--tolerance X] [--verify-sample PCT]\n"
       "                          [--supervise] [--deadline-ms N] "
-      "[--max-attempts N]\n"
-      "                          [--backoff-base-ms N] [--backoff-cap-ms N] "
       "[--verbose]\n"
-      "       conga_serve serve  --spool DIR [--store DIR] [--jobs N] "
-      "[--poll-ms N]\n"
-      "                          [--once] [--drain-grace-ms N] "
-      "[supervision flags]\n"
       "       conga_serve store  gc   --store DIR [--tmp-age-seconds N]\n"
       "                               [--keep-fingerprints CSV]\n"
       "       conga_serve store  stat --store DIR\n"
@@ -163,20 +146,13 @@ struct Args {
   std::string baseline_path;
   std::string verdict_path;
   std::string report_path;
-  std::string spool_dir;
   std::vector<std::string> keep_fingerprints;
   double tolerance = 0.01;
   double verify_sample = 0.0;  ///< fraction, from --verify-sample percent
   int jobs = 1;
-  int max_attempts = 3;
-  int poll_ms = 500;
   std::int64_t deadline_ms = 120000;
-  std::int64_t backoff_base_ms = 250;
-  std::int64_t backoff_cap_ms = 5000;
-  std::int64_t drain_grace_ms = 5000;
   std::int64_t tmp_age_seconds = 3600;
   bool supervise = false;
-  bool once = false;
   bool verbose = false;
 };
 
@@ -201,7 +177,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
       return true;
     };
     std::string v;
-    std::int64_t n = 0;
     if (std::strcmp(arg, "--campaign") == 0) {
       if (!value(a.campaign_path)) return false;
     } else if (std::strcmp(arg, "--builtin") == 0) {
@@ -218,8 +193,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
       if (!value(a.verdict_path)) return false;
     } else if (std::strcmp(arg, "--report") == 0) {
       if (!value(a.report_path)) return false;
-    } else if (std::strcmp(arg, "--spool") == 0) {
-      if (!value(a.spool_dir)) return false;
     } else if (std::strcmp(arg, "--keep-fingerprints") == 0) {
       if (!value(v)) return false;
       std::size_t pos = 0;
@@ -258,36 +231,9 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
         err = "--jobs must be positive";
         return false;
       }
-    } else if (std::strcmp(arg, "--max-attempts") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, n)) {
-        if (err.empty()) err = "--max-attempts must be >= 1";
-        return false;
-      }
-      a.max_attempts = static_cast<int>(n);
-    } else if (std::strcmp(arg, "--poll-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, n)) {
-        if (err.empty()) err = "--poll-ms must be >= 1";
-        return false;
-      }
-      a.poll_ms = static_cast<int>(n);
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
       if (!value(v) || !parse_int_flag(v, 1, a.deadline_ms)) {
         if (err.empty()) err = "--deadline-ms must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, a.backoff_base_ms)) {
-        if (err.empty()) err = "--backoff-base-ms must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-cap-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 1, a.backoff_cap_ms)) {
-        if (err.empty()) err = "--backoff-cap-ms must be >= 1";
-        return false;
-      }
-    } else if (std::strcmp(arg, "--drain-grace-ms") == 0) {
-      if (!value(v) || !parse_int_flag(v, 0, a.drain_grace_ms)) {
-        if (err.empty()) err = "--drain-grace-ms must be >= 0";
         return false;
       }
     } else if (std::strcmp(arg, "--tmp-age-seconds") == 0) {
@@ -297,8 +243,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
       }
     } else if (std::strcmp(arg, "--supervise") == 0) {
       a.supervise = true;
-    } else if (std::strcmp(arg, "--once") == 0) {
-      a.once = true;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       a.verbose = true;
     } else {
@@ -307,21 +251,6 @@ bool parse_args(int argc, char** argv, int start, Args& a, std::string& err) {
     }
   }
   return true;
-}
-
-campaign::SupervisorOptions supervisor_options(const Args& a) {
-  campaign::SupervisorOptions s;
-  s.exe = a.self_exe;
-  s.store_root = a.store_dir;
-  s.jobs = a.jobs;
-  s.max_attempts = a.max_attempts;
-  s.deadline_ms = a.deadline_ms;
-  s.backoff_base_ms = a.backoff_base_ms;
-  s.backoff_cap_ms = a.backoff_cap_ms;
-  s.drain_grace_ms = a.drain_grace_ms;
-  const char* fault = std::getenv("CONGA_CELL_FAULT");
-  if (fault != nullptr) s.fault_spec = fault;
-  return s;
 }
 
 int cmd_expand(const Args& a) {
@@ -413,10 +342,16 @@ int cmd_run(const Args& a) {
   if (a.supervise) {
     std::signal(SIGTERM, on_shutdown_signal);
     std::signal(SIGINT, on_shutdown_signal);
+    campaign::SupervisorOptions sopts;
+    sopts.exe = a.self_exe;
+    sopts.store_root = a.store_dir;
+    sopts.jobs = a.jobs;
+    sopts.deadline_ms = a.deadline_ms;
+    const char* fault = std::getenv("CONGA_CELL_FAULT");
+    if (fault != nullptr) sopts.fault_spec = fault;
     campaign::SuperviseOutcome outcome = campaign::SuperviseOutcome::kComplete;
-    if (!campaign::run_campaign_supervised(spec, opts, supervisor_options(a),
-                                           nullptr, &g_shutdown, run, outcome,
-                                           err)) {
+    if (!campaign::run_campaign_supervised(spec, opts, sopts, nullptr,
+                                           &g_shutdown, run, outcome, err)) {
       std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
       return 2;
     }
@@ -456,7 +391,7 @@ int cmd_run(const Args& a) {
 
   int status = 0;
   if (run.stats.failed > 0) {
-    std::fprintf(stderr, "conga_serve: %zu cell(s) quarantined\n",
+    std::fprintf(stderr, "conga_serve: %zu cell(s) failed\n",
                  run.stats.failed);
     status = 1;
   }
@@ -514,26 +449,6 @@ int cmd_verdict(const Args& a) {
   return make_and_emit_verdict(
       report, a.baseline_path,
       a.verdict_path.empty() ? a.out_path : a.verdict_path, a.tolerance);
-}
-
-int cmd_serve(const Args& a) {
-  if (a.spool_dir.empty()) {
-    std::fprintf(stderr, "conga_serve: serve needs --spool DIR\n");
-    return 2;
-  }
-  std::signal(SIGTERM, on_shutdown_signal);
-  std::signal(SIGINT, on_shutdown_signal);
-  campaign::SpoolOptions sp;
-  sp.dir = a.spool_dir;
-  sp.store_root = a.store_dir;
-  sp.poll_ms = a.poll_ms;
-  sp.once = a.once;
-  sp.verbose = a.verbose;
-  sp.supervisor = supervisor_options(a);
-  std::string err;
-  const int rc = campaign::serve_spool(sp, &g_shutdown, err);
-  if (rc != 0) std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
-  return rc;
 }
 
 /// Hidden child entry point: one cell, request on stdin, response on stdout.
@@ -598,7 +513,6 @@ int cmd_store_stat(const Args& a) {
   doc.set("bytes", campaign::Json::uinteger(st.bytes));
   doc.set("tmp_files", campaign::Json::uinteger(st.tmp_files));
   doc.set("tmp_bytes", campaign::Json::uinteger(st.tmp_bytes));
-  doc.set("quarantined", campaign::Json::uinteger(st.quarantined));
   campaign::Json buckets = campaign::Json::array();
   for (const campaign::ResultStore::StatBucket& b : st.by_fingerprint) {
     campaign::Json e = campaign::Json::object();
@@ -647,7 +561,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (cmd == "run") return cmd_run(a);
-  if (cmd == "serve") return cmd_serve(a);
   if (cmd == "expand") return cmd_expand(a);
   if (cmd == "verdict") return cmd_verdict(a);
   std::fprintf(stderr, "conga_serve: unknown subcommand '%s'\n",
