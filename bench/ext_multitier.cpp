@@ -15,7 +15,7 @@
 
 #include "bench_util.hpp"
 #include "lb/factories.hpp"
-#include "net/pod_fabric.hpp"
+#include "net/fabric.hpp"
 #include "tcp/flow.hpp"
 
 using namespace conga;
@@ -28,21 +28,20 @@ struct Result {
 };
 
 Result run(const net::Fabric::LbFactory& lb, bool full) {
-  net::PodTopologyConfig cfg;
+  net::TopologyConfig cfg;
   cfg.num_pods = 2;
-  cfg.leaves_per_pod = 2;
-  cfg.spines_per_pod = 2;
+  cfg.num_leaves = 4;  // 2 per pod
+  cfg.num_spines = 2;  // per pod
   cfg.hosts_per_leaf = 6;
   cfg.num_cores = 2;
   cfg.host_link_bps = 10e9;
-  cfg.fabric_link_bps = 40e9;
-  cfg.core_link_bps = 40e9;
+  cfg.fabric_link_bps = 40e9;  // core links too
   // Asymmetry: pod 0's spine 1 reaches the core at a tenth of the rate.
   cfg.core_overrides.push_back({0, 1, 0, 0.1});
   cfg.core_overrides.push_back({0, 1, 1, 0.1});
 
   sim::Scheduler sched;
-  net::PodFabric fabric(sched, cfg, 7);
+  net::Fabric fabric(sched, cfg, 7);
   fabric.install_lb(lb);
 
   tcp::TcpConfig t;

@@ -318,6 +318,13 @@ bool run_cells(const CampaignSpec& spec, const RunOptions& opts,
           "(policies, loads_pct, seeds, faults)";
     return false;
   }
+  // Before any store lookup: a pod case would hit its 2-tier twin's cells.
+  for (const CampaignCase& cs : spec.cases) {
+    if (cs.topo.num_pods != 1) {
+      err = "case '" + cs.name + "': " + kPodCellError;
+      return false;
+    }
+  }
   CampaignRun run;
   run.spec = spec;
   if (run.spec.cases.empty()) {

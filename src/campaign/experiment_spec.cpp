@@ -345,6 +345,14 @@ bool to_experiment_config(const ExperimentSpec& spec,
     err = "topo: " + topo_err;
     return false;
   }
+  if (spec.topo.num_leaves < 2) {
+    err = "topo: inter-leaf traffic needs num_leaves >= 2";
+    return false;
+  }
+  if (spec.topo.num_pods != 1) {
+    err = "topo: " + std::string(kPodCellError);
+    return false;
+  }
   if (spec.warmup_ns < 0 || spec.measure_ns <= 0 || spec.max_drain_ns < 0) {
     err = "windows must be non-negative (measure > 0)";
     return false;

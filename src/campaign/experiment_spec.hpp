@@ -87,11 +87,18 @@ bool parse_spec(const std::string& text, ExperimentSpec& out,
 std::string cell_key(const ExperimentSpec& spec,
                      const std::string& fingerprint);
 
+/// Why a spec whose topology has num_pods != 1 is refused: the canonical
+/// JSON carries no core-tier fields, so such a cell would share its cache key
+/// with its 2-tier twin.
+inline constexpr const char* kPodCellError =
+    "3-tier pod topologies (num_pods != 1) are not campaign cells";
+
 /// Expands the spec to a runnable config, resolving the policy and
 /// distribution registries and arming the fault profile (the returned
 /// config's fabric_hook owns the injector; keep the config alive through the
 /// run, as run_fct_experiment's callers do). Returns false and sets `err`
-/// for unknown names or invalid parameters; `out` is untouched on failure.
+/// for unknown names or invalid parameters (fewer than 2 leaves and pod
+/// topologies included); `out` is untouched on failure.
 bool to_experiment_config(const ExperimentSpec& spec,
                           workload::ExperimentConfig& out, std::string& err);
 

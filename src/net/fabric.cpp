@@ -19,6 +19,14 @@ const LinkOverride* find_override(const TopologyConfig& cfg, int leaf,
   }
   return nullptr;
 }
+
+const CoreLinkOverride* find_core_override(const TopologyConfig& cfg, int pod,
+                                           int spine, int core) {
+  for (const CoreLinkOverride& o : cfg.core_overrides) {
+    if (o.pod == pod && o.spine == spine && o.core == core) return &o;
+  }
+  return nullptr;
+}
 }  // namespace
 
 Fabric::Fabric(sim::Scheduler& sched, const TopologyConfig& cfg,
@@ -32,13 +40,19 @@ Fabric::Fabric(sim::Scheduler& sched, const TopologyConfig& cfg,
 
 void Fabric::build() {
   const int L = cfg_.num_leaves;
-  const int S = cfg_.num_spines;
+  const int Sp = cfg_.num_spines;  // per pod
+  const int S = cfg_.num_pods * Sp;
   const int H = cfg_.hosts_per_leaf;
   const int P = cfg_.links_per_spine;
+  const int Lp = L / cfg_.num_pods;
 
   directory_.resize(static_cast<std::size_t>(L) * H);
   for (int h = 0; h < L * H; ++h) {
     directory_[static_cast<std::size_t>(h)] = h / H;
+  }
+  std::vector<int> leaf_to_pod;  // pod fabrics only
+  if (cfg_.num_pods > 1) {
+    for (int l = 0; l < L; ++l) leaf_to_pod.push_back(l / Lp);
   }
 
   // Per-component seeds are keyed streams (component class in the high byte,
@@ -56,10 +70,18 @@ void Fabric::build() {
   for (int s = 0; s < S; ++s) {
     spines_.push_back(std::make_unique<SpineSwitch>(
         s, L, rng_.stream_seed((2ULL << 56) | static_cast<std::uint64_t>(s))));
+    if (cfg_.num_pods > 1) {
+      spines_.back()->set_pod_membership(leaf_to_pod, s / Sp);
+    }
     if (cfg_.shared_buffer_bytes > 0) {
       spine_pools_.push_back(std::make_unique<SharedBufferPool>(
           cfg_.shared_buffer_bytes, cfg_.shared_buffer_alpha));
     }
+  }
+  for (int c = 0; c < cfg_.num_cores; ++c) {
+    cores_.push_back(std::make_unique<CoreSwitch>(
+        c, leaf_to_pod, cfg_.num_pods,
+        rng_.stream_seed((4ULL << 56) | static_cast<std::uint64_t>(c))));
   }
   auto leaf_pool = [&](int l) -> SharedBufferPool* {
     return leaf_pools_.empty() ? nullptr
@@ -107,7 +129,23 @@ void Fabric::build() {
     links_.push_back(std::move(down));
   }
 
-  // Fabric links: for each (leaf, spine, parallel) pair, one link each way.
+  // Every switch-to-switch link (leaf<->spine, spine<->core): fabric rate
+  // scaled by its override, fabric buffers, CE marking.
+  auto fabric_cfg = [&](double rate_factor) {
+    LinkConfig fab;
+    fab.rate_bps = cfg_.fabric_link_bps * rate_factor;
+    fab.propagation_delay = cfg_.fabric_link_delay;
+    fab.queue_capacity_bytes = cfg_.fabric_queue_bytes;
+    fab.ecn_threshold_bytes = cfg_.ecn_threshold_bytes;
+    fab.marks_ce = true;
+    fab.ce_sum = cfg_.ce_sum;
+    fab.dre = cfg_.dre;
+    return fab;
+  };
+
+  // Fabric links: for each (leaf, spine in the leaf's pod, parallel) triple,
+  // one link each way. Slots pairing a leaf with another pod's spine stay
+  // nullptr, like links failed at build time.
   down_live_.assign(static_cast<std::size_t>(S) * static_cast<std::size_t>(L) *
                         static_cast<std::size_t>(P),
                     0);
@@ -123,20 +161,13 @@ void Fabric::build() {
                        std::vector<Link*>(static_cast<std::size_t>(P),
                                           nullptr)));
   for (int l = 0; l < L; ++l) {
-    for (int s = 0; s < S; ++s) {
+    const int pod = l / Lp;
+    for (int s = pod * Sp; s < (pod + 1) * Sp; ++s) {
       for (int p = 0; p < P; ++p) {
         const LinkOverride* o = find_override(cfg_, l, s, p);
         if (o != nullptr && o->rate_factor == 0.0) continue;  // failed
 
-        LinkConfig fab;
-        fab.rate_bps = cfg_.fabric_link_bps *
-                       (o != nullptr ? o->rate_factor : 1.0);
-        fab.propagation_delay = cfg_.fabric_link_delay;
-        fab.queue_capacity_bytes = cfg_.fabric_queue_bytes;
-        fab.ecn_threshold_bytes = cfg_.ecn_threshold_bytes;
-        fab.marks_ce = true;
-        fab.ce_sum = cfg_.ce_sum;
-        fab.dre = cfg_.dre;
+        LinkConfig fab = fabric_cfg(o != nullptr ? o->rate_factor : 1.0);
 
         char up_name[48];
         std::snprintf(up_name, sizeof up_name, "up:l%ds%dp%d", l, s, p);
@@ -167,7 +198,56 @@ void Fabric::build() {
     }
   }
 
+  // Core links: every pod spine to every core, one link each way.
+  const int C = cfg_.num_cores;
+  core_up_.assign(static_cast<std::size_t>(S) * static_cast<std::size_t>(C),
+                  nullptr);
+  core_down_.assign(core_up_.size(), nullptr);
+  for (int s = 0; s < S; ++s) {
+    const int pod = s / Sp;
+    const int ps = s % Sp;  // index within the pod
+    for (int c = 0; c < C; ++c) {
+      const CoreLinkOverride* o = find_core_override(cfg_, pod, ps, c);
+      if (o != nullptr && o->rate_factor == 0.0) continue;  // failed
+
+      const LinkConfig core_cfg =
+          fabric_cfg(o != nullptr ? o->rate_factor : 1.0);
+      char up_name[48];
+      std::snprintf(up_name, sizeof up_name, "core-up:p%ds%dc%d", pod, ps, c);
+      char down_name[48];
+      std::snprintf(down_name, sizeof down_name, "core-down:p%ds%dc%d", pod,
+                    ps, c);
+      LinkConfig up_cfg = core_cfg;
+      up_cfg.shared_pool = spine_pool(s);  // spine egress toward the core
+      auto up = std::make_unique<Link>(sched_, up_name, up_cfg);
+      up->connect_to(cores_[static_cast<std::size_t>(c)].get(), s);
+      spines_[static_cast<std::size_t>(s)]->add_core_uplink(up.get());
+      core_up_[core_index(s, c)] = up.get();
+      fabric_links_.push_back(up.get());
+
+      auto down = std::make_unique<Link>(sched_, down_name, core_cfg);
+      down->connect_to(spines_[static_cast<std::size_t>(s)].get(), 2000 + c);
+      cores_[static_cast<std::size_t>(c)]->add_pod_link(pod, down.get());
+      core_down_[core_index(s, c)] = down.get();
+      fabric_links_.push_back(down.get());
+
+      links_.push_back(std::move(up));
+      links_.push_back(std::move(down));
+    }
+  }
+
   recompute_reachability();
+}
+
+bool Fabric::core_path(int spine, int pod) const {
+  const int Sp = cfg_.num_spines;
+  for (int c = 0; c < cfg_.num_cores; ++c) {
+    if (core_up_[core_index(spine, c)] == nullptr) continue;
+    for (int s = pod * Sp; s < (pod + 1) * Sp; ++s) {
+      if (core_down_[core_index(s, c)] != nullptr) return true;
+    }
+  }
+  return false;
 }
 
 void Fabric::recompute_reachability() {
@@ -175,7 +255,8 @@ void Fabric::recompute_reachability() {
   // destination leaf d iff s currently has at least one live downlink to d.
   // down_live_ caches control-plane liveness per (spine, leaf, parallel),
   // maintained by the fail/restore detection handlers, so this is a flat
-  // flag read rather than a scan over the failed-link list.
+  // flag read rather than a scan over the failed-link list. A leaf in
+  // another pod is reachable iff s has a core path into that pod.
   const int L = cfg_.num_leaves;
   const int P = cfg_.links_per_spine;
   for (int l = 0; l < L; ++l) {
@@ -186,6 +267,11 @@ void Fabric::recompute_reachability() {
     for (std::size_t u = 0; u < lf.uplinks().size(); ++u) {
       const int s = lf.uplinks()[u].spine;
       for (int d = 0; d < L; ++d) {
+        const int dst_pod = pod_of_leaf(d);
+        if (dst_pod != pod_of_leaf(l)) {
+          reaches[u][static_cast<std::size_t>(d)] = core_path(s, dst_pod);
+          continue;
+        }
         for (int p = 0; p < P; ++p) {
           if (down_live_[live_index(s, d, p)] != 0) {
             reaches[u][static_cast<std::size_t>(d)] = true;
@@ -385,6 +471,7 @@ void Fabric::register_probes() {
     std::uint64_t n = 0;
     for (const auto& l : leaves_) n += l->dropped_no_route();
     for (const auto& s : spines_) n += s->dropped_no_route();
+    for (const auto& c : cores_) n += c->dropped_no_route();
     return n;
   });
   sim::Scheduler* sched = &sched_;
@@ -398,6 +485,14 @@ Link* Fabric::down_link(int spine, int leaf, int parallel) {
   return down_links_[static_cast<std::size_t>(spine)]
                     [static_cast<std::size_t>(leaf)]
                     [static_cast<std::size_t>(parallel)];
+}
+
+Link* Fabric::spine_to_core(int pod, int spine, int core) {
+  return core_up_[core_index(pod * cfg_.num_spines + spine, core)];
+}
+
+Link* Fabric::core_to_spine(int core, int pod, int spine) {
+  return core_down_[core_index(pod * cfg_.num_spines + spine, core)];
 }
 
 sim::TimeNs Fabric::one_way_latency(std::uint32_t bytes) const {

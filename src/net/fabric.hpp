@@ -4,6 +4,16 @@
 // per the TopologyConfig, applying failure/degradation overrides. Load
 // balancers are installed afterwards via a factory, so one topology can be
 // re-created identically for each scheme under comparison.
+//
+// With TopologyConfig::num_pods > 1 the same build adds the core tier of
+// paper §7 ("Larger topologies"): each pod is a Leaf-Spine Clos, every pod
+// spine links to every core switch, spines hand inter-pod traffic to the
+// core by ECMP and cores ECMP into the destination pod's spines. The source
+// leaf's load balancer (CONGA included) still decides only the first hop,
+// but the CE field keeps accumulating across the core hops, so its
+// leaf-to-leaf feedback reflects the whole path. Spine ids are global (pod p
+// owns spines p * num_spines ..), so accessors taking a spine work unchanged
+// and slots pairing a leaf with another pod's spine are nullptr.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +73,11 @@ class Fabric {
   LeafSwitch& leaf(int l) { return *leaves_[static_cast<std::size_t>(l)]; }
   SpineSwitch& spine(int s) { return *spines_[static_cast<std::size_t>(s)]; }
   int num_leaves() const { return static_cast<int>(leaves_.size()); }
+  /// Spines across every pod.
   int num_spines() const { return static_cast<int>(spines_.size()); }
+  int pod_of_leaf(int leaf) const {
+    return leaf / (cfg_.num_leaves / cfg_.num_pods);
+  }
 
   /// The leaf a host attaches to.
   LeafId leaf_of(HostId h) const { return directory_[static_cast<std::size_t>(h)]; }
@@ -75,12 +89,16 @@ class Fabric {
   /// removed at build time. The fault injector drives per-link hooks
   /// (rate scale, gray failure, CE suppression) through this.
   Link* up_link(int leaf, int spine, int parallel);
+  /// Pod fabrics only: the spine -> core link for (pod, spine within the
+  /// pod, core) and its reverse; nullptr if failed at build time.
+  Link* spine_to_core(int pod, int spine, int core);
+  Link* core_to_spine(int core, int pod, int spine);
   /// The host's access links.
   Link* host_to_leaf(HostId h) { return host_up_[static_cast<std::size_t>(h)]; }
   Link* leaf_to_host(HostId h) { return host_down_[static_cast<std::size_t>(h)]; }
 
-  /// All fabric (leaf<->spine) links that exist, for fleet-wide stats
-  /// (Fig 16 reports queue lengths at every fabric port).
+  /// All fabric (leaf<->spine and spine<->core) links that exist, for
+  /// fleet-wide stats (Fig 16 reports queue lengths at every fabric port).
   const std::vector<Link*>& fabric_links() const { return fabric_links_; }
 
   /// Fails a live leaf<->spine link pair at runtime (packets blackhole
@@ -104,7 +122,8 @@ class Fabric {
 
   /// One-way host-to-host latency across the spine for a single packet of
   /// `bytes` on an idle fabric (store-and-forward serialization at each of
-  /// the 4 hops plus propagation).
+  /// the 4 hops plus propagation). In a pod fabric this is the intra-pod
+  /// figure; inter-pod paths add two core hops.
   sim::TimeNs one_way_latency(std::uint32_t bytes) const;
 
   /// Base round-trip time host-to-host across the spine with empty queues
@@ -115,8 +134,18 @@ class Fabric {
  private:
   void build();
   /// Recomputes every leaf's per-destination reachability from the spines'
-  /// current downlink state (runtime failures change it).
+  /// current downlink state (runtime failures change it) and, for leaves in
+  /// other pods, from the static core wiring.
   void recompute_reachability();
+  /// True if `spine` has a core uplink into some core that has at least one
+  /// link down into `pod`.
+  bool core_path(int spine, int pod) const;
+  /// Flat index into core_up_/core_down_ for (global spine, core).
+  std::size_t core_index(int spine, int core) const {
+    return static_cast<std::size_t>(spine) *
+               static_cast<std::size_t>(cfg_.num_cores) +
+           static_cast<std::size_t>(core);
+  }
   int uplink_index(int leaf, Link* link) const;
   /// Flat index into down_live_ for (spine, leaf, parallel).
   std::size_t live_index(int spine, int leaf, int parallel) const {
@@ -139,6 +168,7 @@ class Fabric {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<LeafSwitch>> leaves_;
   std::vector<std::unique_ptr<SpineSwitch>> spines_;
+  std::vector<std::unique_ptr<CoreSwitch>> cores_;  // empty unless pods > 1
   std::vector<std::unique_ptr<Link>> links_;  // owns every link
   std::vector<Link*> host_up_;
   std::vector<Link*> host_down_;
@@ -147,6 +177,9 @@ class Fabric {
   std::vector<std::vector<std::vector<Link*>>> down_links_;
   // [leaf][spine][parallel] -> link or nullptr
   std::vector<std::vector<std::vector<Link*>>> up_links_;
+  // Spine -> core and core -> spine links by core_index(); nullptr if failed.
+  std::vector<Link*> core_up_;
+  std::vector<Link*> core_down_;
   // Control-plane liveness of spine->leaf downlinks, flat-indexed by
   // live_index(): 1 iff the link exists and is not runtime-failed
   // (post-detection). Flipped by the fail/restore detection handlers, so

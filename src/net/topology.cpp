@@ -14,13 +14,32 @@ std::string TopologyConfig::validate() const {
   if (host_link_bps <= 0 || fabric_link_bps <= 0) {
     return "link rates must be positive";
   }
+  if (num_pods < 1) return "num_pods must be >= 1";
+  if (num_leaves % num_pods != 0) {
+    return "num_leaves must split evenly into num_pods pods";
+  }
+  if ((num_pods > 1) != (num_cores > 0)) {
+    return "num_cores must be >= 1 with num_pods > 1, and 0 otherwise";
+  }
+  const int leaves_per_pod = num_leaves / num_pods;
   for (const LinkOverride& o : overrides) {
     if (o.leaf < 0 || o.leaf >= num_leaves) return "override: leaf out of range";
-    if (o.spine < 0 || o.spine >= num_spines)
+    if (o.spine < 0 || o.spine >= num_pods * num_spines)
       return "override: spine out of range";
+    if (o.spine / num_spines != o.leaf / leaves_per_pod)
+      return "override: spine is not in the leaf's pod";
     if (o.parallel < 0 || o.parallel >= links_per_spine)
       return "override: parallel index out of range";
     if (o.rate_factor < 0) return "override: negative rate factor";
+  }
+  for (const CoreLinkOverride& o : core_overrides) {
+    if (o.pod < 0 || o.pod >= num_pods)
+      return "core override: pod out of range";
+    if (o.spine < 0 || o.spine >= num_spines)
+      return "core override: spine out of range";
+    if (o.core < 0 || o.core >= num_cores)
+      return "core override: core out of range";
+    if (o.rate_factor < 0) return "core override: negative rate factor";
   }
   return {};
 }

@@ -1,8 +1,8 @@
 #include "workload/traffic_gen.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "telemetry/probes.hpp"
@@ -19,6 +19,11 @@ TrafficGenerator::TrafficGenerator(net::Fabric& fabric,
       dist_(dist),
       cfg_(cfg),
       rng_(cfg.seed) {
+  if (fabric_.config().num_leaves < 2) {
+    // launch_flow() draws destinations until one lands on another leaf.
+    throw std::invalid_argument(
+        "TrafficGenerator: inter-leaf traffic needs >= 2 leaves");
+  }
   // Offered bytes/sec such that each leaf's uplinks see `load`:
   // every flow crosses the fabric exactly once and sources are uniform over
   // leaves, so each leaf's egress carries a 1/L share of the total.
@@ -26,7 +31,6 @@ TrafficGenerator::TrafficGenerator(net::Fabric& fabric,
   const double capacity_bytes =
       topo.leaf_uplink_capacity_bps() / 8.0 * topo.num_leaves;
   lambda_ = cfg_.load * capacity_bytes / dist_.mean_bytes();
-  assert(topo.num_leaves >= 2 && "inter-leaf traffic needs >= 2 leaves");
 }
 
 void TrafficGenerator::start() {

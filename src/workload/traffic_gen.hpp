@@ -48,6 +48,8 @@ struct TrafficGenConfig {
 
 class TrafficGenerator {
  public:
+  /// Throws std::invalid_argument on a fabric with fewer than 2 leaves
+  /// (no inter-leaf destination exists).
   TrafficGenerator(net::Fabric& fabric, tcp::FlowFactory factory,
                    const FlowSizeDist& dist, const TrafficGenConfig& cfg);
 

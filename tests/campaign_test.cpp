@@ -283,6 +283,37 @@ TEST(CampaignRun, UnknownPolicyFailsWithContext) {
   EXPECT_NE(err.find("unknown policy"), std::string::npos) << err;
 }
 
+TEST(CampaignRun, UnrunnableTopologiesFailCleanly) {
+  // One leaf: no inter-leaf destination exists, so the cell is refused
+  // instead of spinning in the traffic generator's destination draw.
+  CampaignSpec one_leaf = tiny_campaign();
+  one_leaf.cases[0].topo.num_leaves = 1;
+  RunOptions opts;
+  CampaignRun run;
+  std::string err;
+  EXPECT_FALSE(run_campaign(one_leaf, opts, run, err));
+  EXPECT_NE(err.find("num_leaves >= 2"), std::string::npos) << err;
+
+  // A pod case serializes like its 2-tier twin, so it must be refused
+  // before the lookup that would serve the twin's cached result.
+  const TempDir dir("pods");
+  ResultStore store(dir.path.string());
+  opts.store = &store;
+  ASSERT_TRUE(run_campaign(tiny_campaign(), opts, run, err)) << err;
+  CampaignSpec pods = tiny_campaign();
+  pods.cases[0].topo.num_pods = 2;
+  pods.cases[0].topo.num_cores = 1;
+  ASSERT_TRUE(pods.cases[0].topo.validate().empty());
+  Cell twin = expand_campaign(tiny_campaign(), code_fingerprint())[0];
+  EXPECT_EQ(expand_campaign(pods, code_fingerprint())[0].key, twin.key);
+  err.clear();
+  EXPECT_FALSE(run_campaign(pods, opts, run, err));
+  EXPECT_NE(err.find(kPodCellError), std::string::npos) << err;
+  workload::ExperimentConfig cfg;
+  twin.spec.topo = pods.cases[0].topo;
+  EXPECT_FALSE(to_experiment_config(twin.spec, cfg, err));
+}
+
 TEST(CampaignVerdict, PassAndRegressionAndMissing) {
   const CampaignSpec spec = tiny_campaign();
   RunOptions opts;

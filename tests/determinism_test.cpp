@@ -133,13 +133,14 @@ TEST(DeterminismRegression, GrayFailureCampaignIsDeterministicAcrossJobs) {
   }
 }
 
-// `determinism_audit --seed 1` (baseline testbed, 8 hosts/leaf, CONGA,
-// enterprise CDF, 60% load, 5 + 20 ms, traffic seed 1 * 31 + 7) must keep
-// producing these exact digests. Run-vs-run equality cannot see a change
-// that shifts every run alike (a reordered tie-break, a scheduler rework);
-// these constants can. A change that alters the simulated schedule on
-// purpose re-baselines them here and says so.
-TEST(DeterminismRegression, AuditSeedOneMatchesPinnedDigests) {
+// `determinism_audit --seed N` (baseline testbed, 8 hosts/leaf, CONGA,
+// enterprise CDF, 60% load, 5 + 20 ms, fabric seed N, traffic seed
+// N * 31 + 7) must keep producing these exact digests for seeds 1-3.
+// Run-vs-run equality cannot see a change that shifts every run alike (a
+// reordered tie-break, a scheduler rework); these constants can. A change
+// that alters the simulated schedule on purpose re-baselines them here and
+// says so.
+debug::DigestScenario audit_scenario(std::uint64_t seed) {
   debug::DigestScenario s;
   s.topo = net::testbed_baseline();
   s.topo.hosts_per_leaf = 8;
@@ -148,9 +149,13 @@ TEST(DeterminismRegression, AuditSeedOneMatchesPinnedDigests) {
   s.load = 0.6;
   s.warmup = sim::milliseconds(5);
   s.measure = sim::milliseconds(20);
-  s.fabric_seed = 1;
-  s.traffic_seed = 38;
-  const debug::RunDigests d = debug::run_digest_trial(s);
+  s.fabric_seed = seed;
+  s.traffic_seed = seed * 31 + 7;
+  return s;
+}
+
+TEST(DeterminismRegression, AuditSeedOneMatchesPinnedDigests) {
+  const debug::RunDigests d = debug::run_digest_trial(audit_scenario(1));
   EXPECT_EQ(d.fct, 0xda563ccc62ab9618ULL);
   EXPECT_EQ(d.trace, 0x0d62b4e321d3bb03ULL);
   EXPECT_EQ(d.events, 10'526'924u);
@@ -158,6 +163,30 @@ TEST(DeterminismRegression, AuditSeedOneMatchesPinnedDigests) {
   EXPECT_TRUE(d.drained);
 #ifdef CONGA_TELEMETRY
   EXPECT_EQ(d.telemetry, 0xdb8fdc2e0a923e4aULL);
+#endif
+}
+
+TEST(DeterminismRegression, AuditSeedTwoMatchesPinnedDigests) {
+  const debug::RunDigests d = debug::run_digest_trial(audit_scenario(2));
+  EXPECT_EQ(d.fct, 0x5703b764487d8d78ULL);
+  EXPECT_EQ(d.trace, 0x0bffdf4c585f79d6ULL);
+  EXPECT_EQ(d.events, 5'706'058u);
+  EXPECT_EQ(d.flows, 376u);
+  EXPECT_TRUE(d.drained);
+#ifdef CONGA_TELEMETRY
+  EXPECT_EQ(d.telemetry, 0x4e594a76f07d7bb6ULL);
+#endif
+}
+
+TEST(DeterminismRegression, AuditSeedThreeMatchesPinnedDigests) {
+  const debug::RunDigests d = debug::run_digest_trial(audit_scenario(3));
+  EXPECT_EQ(d.fct, 0x0ec7dbf3c8e6f0d6ULL);
+  EXPECT_EQ(d.trace, 0x1c064b376c891821ULL);
+  EXPECT_EQ(d.events, 5'855'874u);
+  EXPECT_EQ(d.flows, 354u);
+  EXPECT_TRUE(d.drained);
+#ifdef CONGA_TELEMETRY
+  EXPECT_EQ(d.telemetry, 0x395a1e18d7486538ULL);
 #endif
 }
 

@@ -156,6 +156,11 @@ int main(int argc, char** argv) {
     topo.edge_queue_bytes = topo.shared_buffer_bytes;
     topo.fabric_queue_bytes = topo.shared_buffer_bytes;
   }
+  if (const std::string err = topo.validate(); !err.empty()) {
+    usage(("bad topology: " + err).c_str());
+  }
+  if (topo.num_leaves < 2) usage("--leaves must be >= 2 (inter-leaf traffic)");
+  if (!(o.load > 0.0) || o.load > 1.0) usage("--load must be in (0, 1]");
 
   tcp::TcpConfig t;
   t.min_rto = sim::milliseconds(o.min_rto_ms);
