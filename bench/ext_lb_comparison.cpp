@@ -25,14 +25,15 @@
 //        --store DIR (incremental reruns via the campaign cache).
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "campaign/campaign.hpp"
+#include "json/json.hpp"
 #include "lb_ext/policies.hpp"
-#include "tools/bench_json.hpp"
 #include "workload/experiment.hpp"
 
 using namespace conga;
@@ -44,10 +45,12 @@ constexpr const char* kPolicies[] = {"ecmp",   "spray", "local",
                                      "hula",   "conga-flow", "conga"};
 constexpr std::size_t kNumPolicies = sizeof(kPolicies) / sizeof(kPolicies[0]);
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
+/// The report carries 6 significant digits, as it always has: the rounded
+/// value prints the same in shortest round-trip form.
+json::Json six_digits(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return json::Json::number(std::strtod(buf, nullptr));
 }
 
 }  // namespace
@@ -167,53 +170,49 @@ int main(int argc, char** argv) {
                    out_path.c_str());
       return 2;
     }
-    tools::JsonWriter w(f);
-    w.begin_object();
-    w.kv("schema", "conga-ext-lb-comparison-v1");
-    w.kv("mode", full ? "full" : "scaled");
-    w.key("loads_pct");
-    w.begin_array();
-    for (int load : loads) w.value(load);
-    w.end_array();
-    w.key("policies");
-    w.begin_array();
-    for (std::size_t p = 0; p < kNumPolicies; ++p) w.value(kPolicies[p]);
-    w.end_array();
-    w.key("cases");
-    w.begin_array();
+    using json::Json;
+    Json load_list = Json::array();
+    for (int load : loads) load_list.push_back(Json::integer(load));
+    Json policy_list = Json::array();
+    for (const char* p : kPolicies) policy_list.push_back(Json::string(p));
+    Json case_list = Json::array();
     for (std::size_t c = 0; c < spec.cases.size(); ++c) {
-      w.begin_object();
-      w.kv("name", spec.cases[c].name.c_str());
-      w.key("cells");
-      w.begin_array();
+      Json cells = Json::array();
       for (std::size_t p = 0; p < kNumPolicies; ++p) {
         for (std::size_t l = 0; l < n_loads; ++l) {
           const workload::ExperimentResult& r = cell(c, p, l);
-          w.begin_object();
-          w.kv("policy", kPolicies[p]);
-          w.kv("load_pct", loads[l]);
-          w.kv("avg_norm_fct", r.avg_norm_fct);
-          w.kv("median_norm_fct", r.median_norm_fct);
-          w.kv("p99_norm_fct", r.p99_norm_fct);
-          w.kv("avg_fct_small", r.avg_fct_small);
-          w.kv("avg_fct_large", r.avg_fct_large);
-          w.kv("flows", static_cast<std::uint64_t>(r.flows));
-          w.kv("completed_fraction", r.completed_fraction);
-          w.kv("fct_digest", hex64(r.fct_digest));
-          w.kv("reorder_segments", r.reorder_segments);
-          w.kv("reorder_max_distance", r.reorder_max_distance);
-          w.kv("reordered_flows", r.reordered_flows);
-          w.kv("probes_sent", r.probes_sent);
-          w.kv("probes_received", r.probes_received);
-          w.end_object();
+          Json e = Json::object();
+          e.set("policy", Json::string(kPolicies[p]));
+          e.set("load_pct", Json::integer(loads[l]));
+          e.set("avg_norm_fct", six_digits(r.avg_norm_fct));
+          e.set("median_norm_fct", six_digits(r.median_norm_fct));
+          e.set("p99_norm_fct", six_digits(r.p99_norm_fct));
+          e.set("avg_fct_small", six_digits(r.avg_fct_small));
+          e.set("avg_fct_large", six_digits(r.avg_fct_large));
+          e.set("flows", Json::uinteger(r.flows));
+          e.set("completed_fraction", six_digits(r.completed_fraction));
+          e.set("fct_digest", Json::string(json::hex64(r.fct_digest)));
+          e.set("reorder_segments", Json::uinteger(r.reorder_segments));
+          e.set("reorder_max_distance",
+                Json::uinteger(r.reorder_max_distance));
+          e.set("reordered_flows", Json::uinteger(r.reordered_flows));
+          e.set("probes_sent", Json::uinteger(r.probes_sent));
+          e.set("probes_received", Json::uinteger(r.probes_received));
+          cells.push_back(std::move(e));
         }
       }
-      w.end_array();
-      w.end_object();
+      Json e = Json::object();
+      e.set("name", Json::string(spec.cases[c].name));
+      e.set("cells", std::move(cells));
+      case_list.push_back(std::move(e));
     }
-    w.end_array();
-    w.end_object();
-    w.finish();
+    Json doc = Json::object();
+    doc.set("schema", Json::string("conga-ext-lb-comparison-v1"));
+    doc.set("mode", Json::string(full ? "full" : "scaled"));
+    doc.set("loads_pct", std::move(load_list));
+    doc.set("policies", std::move(policy_list));
+    doc.set("cases", std::move(case_list));
+    std::fputs(doc.dump_pretty().c_str(), f);
     std::fclose(f);
     std::fprintf(stderr, "ext_lb_comparison: wrote %s\n", out_path.c_str());
   }

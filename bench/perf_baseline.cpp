@@ -36,6 +36,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/fingerprint.hpp"
 #include "debug/determinism.hpp"
+#include "json/json.hpp"
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
 #include "runtime/parallel_runner.hpp"
@@ -327,14 +328,14 @@ CampaignCacheResult run_campaign_cache_phase() {
   return r;
 }
 
-campaign::Json json_of_run(const std::string& label, bool full,
+json::Json json_of_run(const std::string& label, bool full,
                            const std::vector<MicroResult>& micro,
                            const net::PacketPoolStats& pool,
                            const SingleSimResult& single,
                            const GridResult& grid,
                            const TelemetryOverheadResult& tele,
                            const CampaignCacheResult& cache) {
-  using campaign::Json;
+  using json::Json;
   Json run = Json::object();
   run.set("label", Json::string(label));
   run.set("mode", Json::string(full ? "full" : "scaled"));
@@ -488,22 +489,22 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "perf_baseline: campaign cache cold vs warm...\n");
   const CampaignCacheResult cache = run_campaign_cache_phase();
 
-  campaign::Json doc = campaign::Json::object();
+  json::Json doc = json::Json::object();
   if (append) {
     std::string existing;
     std::string err;
-    campaign::Json parsed;
+    json::Json parsed;
     if (!read_file(out_path, existing)) {
       std::fprintf(stderr,
                    "perf_baseline: --append but cannot read %s; starting a "
                    "fresh trajectory\n",
                    out_path.c_str());
-    } else if (!campaign::Json::parse(existing, parsed, err)) {
+    } else if (!json::Json::parse(existing, parsed, err)) {
       std::fprintf(stderr, "perf_baseline: cannot append to %s: %s\n",
                    out_path.c_str(), err.c_str());
       return 2;
     } else {
-      const campaign::Json* schema = parsed.find("schema");
+      const json::Json* schema = parsed.find("schema");
       if (!parsed.is_object() || schema == nullptr || !schema->is_string() ||
           schema->as_string() != "conga-bench-core-v2" ||
           parsed.find("runs") == nullptr ||
@@ -518,20 +519,20 @@ int main(int argc, char** argv) {
     }
   }
   if (doc.find("schema") == nullptr) {
-    doc.set("schema", campaign::Json::string("conga-bench-core-v2"));
-    doc.set("runs", campaign::Json::array());
+    doc.set("schema", json::Json::string("conga-bench-core-v2"));
+    doc.set("runs", json::Json::array());
   }
   // members() gives no mutable access; rebuild the doc with the run
   // appended (trajectories are small).
-  campaign::Json runs = campaign::Json::array();
-  for (const campaign::Json& r : doc.find("runs")->items()) {
-    campaign::Json copy = r;
+  json::Json runs = json::Json::array();
+  for (const json::Json& r : doc.find("runs")->items()) {
+    json::Json copy = r;
     runs.push_back(std::move(copy));
   }
   runs.push_back(
       json_of_run(label, full, micro, pool, single, grid, tele, cache));
-  campaign::Json out_doc = campaign::Json::object();
-  out_doc.set("schema", campaign::Json::string("conga-bench-core-v2"));
+  json::Json out_doc = json::Json::object();
+  out_doc.set("schema", json::Json::string("conga-bench-core-v2"));
   out_doc.set("runs", std::move(runs));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");

@@ -16,51 +16,14 @@
 
 namespace conga::campaign {
 
+using json::Json;
+
 namespace {
 
 constexpr const char* kRequestSchema = "conga-campaign-request-v1";
 constexpr const char* kReportSchema = "conga-campaign-v1";
 constexpr const char* kStatsSchema = "conga-campaign-stats-v1";
 constexpr const char* kVerdictSchema = "conga-campaign-verdict-v1";
-
-// Strict-parse helpers (same contract as the spec parsers: an unmatched
-// field name is an error, a wrong type is an error).
-struct Reader {
-  std::string& err;
-  bool ok = true;
-  bool fail(const std::string& what) {
-    if (ok) err = what;
-    ok = false;
-    return false;
-  }
-};
-
-bool read_string(Reader& r, const Json& v, const std::string& key,
-                 std::string& out) {
-  if (!v.is_string()) return r.fail("expected string " + key);
-  out = v.as_string();
-  return true;
-}
-
-bool read_i64(Reader& r, const Json& v, const std::string& key,
-              std::int64_t& out) {
-  if (!v.is_integer()) return r.fail("expected integer " + key);
-  out = v.as_int();
-  return true;
-}
-
-bool read_u64(Reader& r, const Json& v, const std::string& key,
-              std::uint64_t& out) {
-  if (!v.is_integer()) return r.fail("expected integer " + key);
-  out = v.as_uint();
-  return true;
-}
-
-bool read_bool(Reader& r, const Json& v, const std::string& key, bool& out) {
-  if (!v.is_bool()) return r.fail("expected bool " + key);
-  out = v.as_bool();
-  return true;
-}
 
 int load_pct_of(const ExperimentSpec& spec) {
   return static_cast<int>(std::lround(spec.load * 100.0));
@@ -150,7 +113,7 @@ bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err) {
     err = "campaign must be an object";
     return false;
   }
-  Reader r{err};
+  json::FieldReader r{err};
   CampaignSpec c;
   for (const auto& [key, v] : doc.members()) {
     if (key == "schema") {
@@ -396,7 +359,7 @@ bool run_cells(const CampaignSpec& spec, const RunOptions& opts,
     const telemetry::ComponentId comp =
         opts.sink->intern_component("campaign/" + run.spec.name);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
+      const std::uint64_t key_hash = json::fnv1a64(run.cells[i].key);
       switch (run.origins[i]) {
         case CellOrigin::kCached:
           telemetry::emit(opts.sink, telemetry::EventType::kCampaignCellHit,
@@ -720,7 +683,7 @@ bool verify_sample(const CampaignRun& run, double fraction, int jobs,
   // Deterministic sample: keyed off the fingerprint and campaign name, so a
   // rerun of the same campaign on the same build re-verifies the same cells
   // (and a new build rotates the sample).
-  sim::Rng rng(fnv1a64(run.fingerprint + "|" + run.spec.name));
+  sim::Rng rng(json::fnv1a64(run.fingerprint + "|" + run.spec.name));
   sim::shuffle(hits, rng);
   const std::size_t want = std::max<std::size_t>(
       1, static_cast<std::size_t>(
@@ -756,7 +719,7 @@ bool verify_sample(const CampaignRun& run, double fraction, int jobs,
                       : telemetry::kInvalidComponent;
   for (std::size_t si = 0; si < hits.size(); ++si) {
     const std::size_t i = hits[si];
-    const std::uint64_t key_hash = fnv1a64(run.cells[i].key);
+    const std::uint64_t key_hash = json::fnv1a64(run.cells[i].key);
     telemetry::emit(sink, telemetry::EventType::kCampaignVerifyRecompute,
                     comp, 0, i,
                     mismatched[si] != 0 ? (key_hash | kRecomputedFlag)

@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
-#include "campaign/json.hpp"
 #include "campaign/store.hpp"
+#include "json/json.hpp"
 #include "net/topology.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -59,8 +59,9 @@ struct CampaignSpec {
 };
 
 /// Canonical document form of a request (round-trips like specs do).
-Json json_of_campaign(const CampaignSpec& spec);
-bool campaign_from_json(const Json& doc, CampaignSpec& out, std::string& err);
+json::Json json_of_campaign(const CampaignSpec& spec);
+bool campaign_from_json(const json::Json& doc, CampaignSpec& out,
+                        std::string& err);
 bool parse_campaign(const std::string& text, CampaignSpec& out,
                     std::string& err);
 
@@ -159,7 +160,7 @@ std::string report_json(const CampaignRun& run);
 
 /// Cache statistics document (conga-campaign-stats-v1). Run-dependent by
 /// design — kept out of the report so caching stays invisible there.
-Json stats_json(const RunStats& stats);
+json::Json stats_json(const RunStats& stats);
 
 struct VerdictOptions {
   /// Relative avg_norm_fct change flagged as a regression/improvement.
@@ -169,11 +170,12 @@ struct VerdictOptions {
 /// Compares two conga-campaign-v1 reports cell-by-cell (coordinate-matched)
 /// into a conga-campaign-verdict-v1 document. Returns false and sets `err`
 /// if either document is not a campaign report.
-bool make_verdict(const Json& report, const Json& baseline,
-                  const VerdictOptions& opts, Json& out, std::string& err);
+bool make_verdict(const json::Json& report, const json::Json& baseline,
+                  const VerdictOptions& opts, json::Json& out,
+                  std::string& err);
 
 /// True when a verdict document carries no FCT or reorder regressions.
-bool verdict_pass(const Json& verdict);
+bool verdict_pass(const json::Json& verdict);
 
 struct VerifyOutcome {
   std::size_t sampled = 0;

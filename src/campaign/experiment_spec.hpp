@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <string>
 
-#include "campaign/json.hpp"
+#include "json/json.hpp"
 #include "net/topology.hpp"
 #include "sim/time.hpp"
 #include "workload/experiment.hpp"
@@ -65,18 +65,19 @@ struct ExperimentSpec {
 
 /// Topology <-> canonical document (shared by cell specs and campaign
 /// requests; same strict-parse contract as specs).
-Json json_of_topo(const net::TopologyConfig& topo);
-bool topo_from_json(const Json& doc, net::TopologyConfig& out,
+json::Json json_of_topo(const net::TopologyConfig& topo);
+bool topo_from_json(const json::Json& doc, net::TopologyConfig& out,
                     std::string& err);
 
 /// Spec -> canonical JSON document (fixed member order).
-Json json_of_spec(const ExperimentSpec& spec);
+json::Json json_of_spec(const ExperimentSpec& spec);
 /// Spec -> canonical JSON bytes (compact dump of json_of_spec).
 std::string canonical_json(const ExperimentSpec& spec);
 
 /// Strict parse from a document: fields in any order, unknown fields are an
 /// error, absent fields keep defaults. Returns false and sets `err`.
-bool spec_from_json(const Json& doc, ExperimentSpec& out, std::string& err);
+bool spec_from_json(const json::Json& doc, ExperimentSpec& out,
+                    std::string& err);
 /// Convenience: text -> spec.
 bool parse_spec(const std::string& text, ExperimentSpec& out,
                 std::string& err);
@@ -104,9 +105,9 @@ bool to_experiment_config(const ExperimentSpec& spec,
 
 /// Serializes a result into the store's canonical payload object (fixed
 /// member order; doubles in shortest-round-trip form).
-Json json_of_result(const workload::ExperimentResult& r);
+json::Json json_of_result(const workload::ExperimentResult& r);
 /// Strict inverse of json_of_result (same contract as spec_from_json).
-bool result_from_json(const Json& doc, workload::ExperimentResult& out,
-                      std::string& err);
+bool result_from_json(const json::Json& doc,
+                      workload::ExperimentResult& out, std::string& err);
 
 }  // namespace conga::campaign

@@ -13,9 +13,11 @@
 #include <utility>
 
 #include "campaign/experiment_spec.hpp"
-#include "campaign/json.hpp"
+#include "json/json.hpp"
 
 namespace conga::campaign {
+
+using json::Json;
 
 namespace {
 
@@ -87,7 +89,7 @@ ResultStore::LoadStatus ResultStore::load(const std::string& key,
     err = "entry missing result/payload_digest";
     return LoadStatus::kCorrupt;
   }
-  if (hex64(fnv1a64(result->dump())) != digest->as_string()) {
+  if (json::hex64(json::fnv1a64(result->dump())) != digest->as_string()) {
     err = "stored payload digest mismatch (corrupted entry)";
     return LoadStatus::kCorrupt;
   }
@@ -110,7 +112,8 @@ bool ResultStore::put(const std::string& key, const std::string& fingerprint,
     return false;
   }
   Json result_doc = json_of_result(result);
-  const std::string payload_digest = hex64(fnv1a64(result_doc.dump()));
+  const std::string payload_digest =
+      json::hex64(json::fnv1a64(result_doc.dump()));
 
   Json entry = Json::object();
   entry.set("schema", Json::string(kEntrySchema));

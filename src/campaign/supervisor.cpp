@@ -21,10 +21,12 @@
 #include <vector>
 
 #include "campaign/experiment_spec.hpp"
-#include "campaign/json.hpp"
 #include "campaign/store.hpp"
+#include "json/json.hpp"
 
 namespace conga::campaign {
+
+using json::Json;
 
 namespace {
 

@@ -24,6 +24,12 @@ TrafficGenerator::TrafficGenerator(net::Fabric& fabric,
     throw std::invalid_argument(
         "TrafficGenerator: inter-leaf traffic needs >= 2 leaves");
   }
+  if (!std::isfinite(cfg_.load) || cfg_.load <= 0.0) {
+    // A zero rate makes every exponential gap infinite, and converting that
+    // to sim::TimeNs is undefined.
+    throw std::invalid_argument(
+        "TrafficGenerator: load must be finite and > 0");
+  }
   // Offered bytes/sec such that each leaf's uplinks see `load`:
   // every flow crosses the fabric exactly once and sources are uniform over
   // leaves, so each leaf's egress carries a 1/L share of the total.

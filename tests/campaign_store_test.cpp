@@ -13,8 +13,8 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/experiment_spec.hpp"
-#include "campaign/json.hpp"
 #include "campaign/store.hpp"
+#include "json/json.hpp"
 #include "net/topology.hpp"
 #include "runtime/parallel_runner.hpp"
 
@@ -22,6 +22,7 @@ namespace conga::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using json::Json;
 
 struct TempDir {
   fs::path path;

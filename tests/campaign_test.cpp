@@ -13,8 +13,8 @@
 #include "campaign/campaign.hpp"
 #include "campaign/experiment_spec.hpp"
 #include "campaign/fingerprint.hpp"
-#include "campaign/json.hpp"
 #include "campaign/store.hpp"
+#include "json/json.hpp"
 #include "net/topology.hpp"
 #include "sim/random.hpp"
 #include "telemetry/telemetry.hpp"
@@ -23,6 +23,7 @@ namespace conga::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using json::Json;
 
 /// Unique throwaway directory per test; removed on destruction.
 struct TempDir {

@@ -19,15 +19,16 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "campaign/json.hpp"
 #include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
+#include "json/json.hpp"
 #include "net/topology.hpp"
 
 namespace conga::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using json::Json;
 
 constexpr const char* kBin = CONGA_SERVE_BIN;
 

@@ -11,15 +11,16 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/experiment_spec.hpp"
-#include "campaign/json.hpp"
 #include "campaign/store.hpp"
 #include "campaign/supervisor.hpp"
+#include "json/json.hpp"
 #include "net/topology.hpp"
 
 namespace conga::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using json::Json;
 
 struct TempDir {
   fs::path path;

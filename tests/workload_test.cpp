@@ -2,6 +2,9 @@
 // Incast/HDFS workloads, and the flowlet trace study.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "lb/factories.hpp"
 #include "net/fabric.hpp"
 #include "tcp/flow.hpp"
@@ -107,6 +110,21 @@ TEST(TrafficGen, ArrivalRateMatchesLoad) {
   TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory({}), dist, cfg);
   // load * 2 leaves * 80 Gbps / 8 / 100 KB = 1e10 B/s / 1e5 B = 1e5 flows/s.
   EXPECT_NEAR(gen.arrival_rate(), 1e5, 1.0);
+}
+
+TEST(TrafficGen, RejectsNonPositiveOrNonFiniteLoad) {
+  sim::Scheduler sched;
+  net::Fabric fabric(sched, gen_topo(), 4);
+  fabric.install_lb(lb::ecmp());
+  const FlowSizeDist dist = fixed_size(100'000);
+  for (const double load : {0.0, -0.5, std::nan(""), HUGE_VAL}) {
+    TrafficGenConfig cfg;
+    cfg.load = load;
+    EXPECT_THROW(TrafficGenerator(fabric, tcp::make_tcp_flow_factory({}),
+                                  dist, cfg),
+                 std::invalid_argument)
+        << "load " << load;
+  }
 }
 
 TEST(TrafficGen, GeneratesAndCompletesFlows) {

@@ -57,6 +57,8 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
+
 namespace fs = std::filesystem;
 
 namespace {
@@ -676,65 +678,44 @@ Config load_config(const fs::path& path, const fs::path& root) {
   return cfg;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_json_report(const Linter& lint, const std::string& out_path) {
+  using conga::json::Json;
+  Json findings = Json::array();
+  for (const Finding& f : lint.findings()) {
+    Json e = Json::object();
+    e.set("file", Json::string(f.file));
+    e.set("line", Json::integer(f.line));
+    e.set("rule", Json::string(f.rule));
+    e.set("message", Json::string(f.message));
+    findings.push_back(std::move(e));
+  }
+  Json suppressed = Json::array();
+  for (const Suppression& s : lint.suppressions()) {
+    Json e = Json::object();
+    e.set("file", Json::string(s.file));
+    e.set("line", Json::integer(s.line));
+    e.set("rule", Json::string(s.rule));
+    e.set("reason", Json::string(s.reason));
+    suppressed.push_back(std::move(e));
+  }
+  Json notices = Json::array();
+  for (const std::string& n : lint.notices()) {
+    notices.push_back(Json::string(n));
+  }
+  Json doc = Json::object();
+  doc.set("tool", Json::string("conga-lint"));
+  doc.set("schema", Json::string("conga-lint-v1"));
+  doc.set("files_scanned", Json::uinteger(lint.files_scanned()));
+  doc.set("findings", std::move(findings));
+  doc.set("suppressed", std::move(suppressed));
+  doc.set("notices", std::move(notices));
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "conga-lint: cannot write %s\n", out_path.c_str());
     return;
   }
-  std::fprintf(out,
-               "{\"tool\":\"conga-lint\",\"schema\":\"conga-lint-v1\","
-               "\"files_scanned\":%zu,\"findings\":[",
-               lint.files_scanned());
-  bool first = true;
-  for (const Finding& f : lint.findings()) {
-    std::fprintf(out,
-                 "%s\n  {\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\","
-                 "\"message\":\"%s\"}",
-                 first ? "" : ",", json_escape(f.file).c_str(), f.line,
-                 f.rule.c_str(), json_escape(f.message).c_str());
-    first = false;
-  }
-  std::fprintf(out, "\n],\"suppressed\":[");
-  first = true;
-  for (const Suppression& s : lint.suppressions()) {
-    std::fprintf(out,
-                 "%s\n  {\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\","
-                 "\"reason\":\"%s\"}",
-                 first ? "" : ",", json_escape(s.file).c_str(), s.line,
-                 s.rule.c_str(), json_escape(s.reason).c_str());
-    first = false;
-  }
-  std::fprintf(out, "\n],\"notices\":[");
-  first = true;
-  for (const std::string& n : lint.notices()) {
-    std::fprintf(out, "%s\n  \"%s\"", first ? "" : ",",
-                 json_escape(n).c_str());
-    first = false;
-  }
-  std::fprintf(out, "\n]}\n");
+  std::fputs(doc.dump_pretty().c_str(), out);
   std::fclose(out);
 }
 

@@ -36,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
+
 namespace fs = std::filesystem;
 
 namespace {
@@ -304,15 +306,6 @@ struct Tarjan {
   }
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -438,23 +431,25 @@ int main(int argc, char** argv) {
             });
 
   if (!json_out.empty()) {
+    using conga::json::Json;
+    Json list = Json::array();
+    for (const Violation& v : violations) {
+      Json e = Json::object();
+      e.set("kind", Json::string(v.kind));
+      e.set("detail", Json::string(v.detail));
+      list.push_back(std::move(e));
+    }
+    Json doc = Json::object();
+    doc.set("tool", Json::string("layer-check"));
+    doc.set("schema", Json::string("layer-check-v1"));
+    doc.set("files", Json::uinteger(g.files.size()));
+    doc.set("edges_checked", Json::uinteger(edges_checked));
+    doc.set("crosscutting_exemptions", Json::uinteger(exempt_crosscut));
+    doc.set("grandfathered", Json::uinteger(grandfathered));
+    doc.set("violations", std::move(list));
     std::FILE* out = std::fopen(json_out.c_str(), "w");
     if (out != nullptr) {
-      std::fprintf(out,
-                   "{\"tool\":\"layer-check\",\"schema\":\"layer-check-v1\","
-                   "\"files\":%zu,\"edges_checked\":%zu,"
-                   "\"crosscutting_exemptions\":%zu,\"grandfathered\":%zu,"
-                   "\"violations\":[",
-                   g.files.size(), edges_checked, exempt_crosscut,
-                   grandfathered);
-      bool first = true;
-      for (const Violation& v : violations) {
-        std::fprintf(out, "%s\n  {\"kind\":\"%s\",\"detail\":\"%s\"}",
-                     first ? "" : ",", v.kind.c_str(),
-                     json_escape(v.detail).c_str());
-        first = false;
-      }
-      std::fprintf(out, "\n]}\n");
+      std::fputs(doc.dump_pretty().c_str(), out);
       std::fclose(out);
     } else {
       std::fprintf(stderr, "layer_check: cannot write %s\n", json_out.c_str());

@@ -39,16 +39,18 @@ STATUS=0
 build_tool() {
   local name="$1"
   if [ -x "build/tools/analyze/$name" ] &&
-     [ "build/tools/analyze/$name" -nt "tools/analyze/$name.cpp" ]; then
+     [ "build/tools/analyze/$name" -nt "tools/analyze/$name.cpp" ] &&
+     [ "build/tools/analyze/$name" -nt src/json/json.cpp ]; then
     echo "build/tools/analyze/$name"
     return
   fi
   mkdir -p "$OUT_DIR/bin"
   if [ ! -x "$OUT_DIR/bin/$name" ] ||
-     [ "tools/analyze/$name.cpp" -nt "$OUT_DIR/bin/$name" ]; then
+     [ "tools/analyze/$name.cpp" -nt "$OUT_DIR/bin/$name" ] ||
+     [ src/json/json.cpp -nt "$OUT_DIR/bin/$name" ]; then
     echo "run_analysis.sh: building $name" >&2
-    "$CXX" -std=c++20 -O2 -o "$OUT_DIR/bin/$name" \
-           "tools/analyze/$name.cpp" >&2 || return 1
+    "$CXX" -std=c++20 -O2 -Isrc -o "$OUT_DIR/bin/$name" \
+           "tools/analyze/$name.cpp" src/json/json.cpp >&2 || return 1
   fi
   echo "$OUT_DIR/bin/$name"
 }

@@ -43,6 +43,7 @@
 #include "debug/watchdog.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "json/json.hpp"
 #include "lb_ext/policies.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "stats/digest.hpp"
@@ -218,37 +219,34 @@ CellResult run_cell(const AuditConfig& cfg, const std::string& policy,
 
 void write_report(std::FILE* f, const AuditConfig& cfg,
                   const std::vector<CellResult>& cells) {
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", cfg.seed);
-  std::fprintf(f, "  \"campaigns\": %d,\n", cfg.campaigns);
-  std::fprintf(f, "  \"profile\": \"%s\",\n", cfg.profile.c_str());
-  std::fprintf(f, "  \"load\": %.3f,\n", cfg.load);
-  std::fprintf(f, "  \"cells\": [\n");
+  using json::Json;
   const std::size_t n_policies = cfg.policies.size();
+  Json cell_list = Json::array();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& r = cells[i];
-    const int campaign = static_cast<int>(i / n_policies);
-    const char* policy = cfg.policies[i % n_policies].c_str();
-    std::fprintf(
-        f,
-        "    {\"campaign\": %d, \"policy\": \"%s\", \"survived\": %s, "
-        "\"drained\": %s, \"conservation_ok\": %s, \"flows\": %" PRIu64
-        ", \"unfinished\": %" PRIu64 ", \"bytes_outstanding\": %" PRIu64
-        ", \"stalls\": %" PRIu64 ", \"fault_transitions\": %" PRIu64
-        ", \"drops\": {\"queue\": %" PRIu64 ", \"admin_down\": %" PRIu64
-        ", \"gray\": %" PRIu64 ", \"corrupt\": %" PRIu64
-        ", \"no_route\": %" PRIu64
-        "}, \"fct_digest\": \"%016" PRIx64 "\", \"trace_digest\": "
-        "\"%016" PRIx64 "\"}%s\n",
-        campaign, policy, r.survived ? "true" : "false",
-        r.drained ? "true" : "false", r.conservation_ok ? "true" : "false",
-        r.flows, r.unfinished, r.bytes_outstanding, r.stalls, r.transitions,
-        r.drops_queue, r.drops_admin, r.drops_gray, r.drops_corrupt,
-        r.drops_no_route, r.fct_digest, r.trace_digest,
-        i + 1 < cells.size() ? "," : "");
+    Json drops = Json::object();
+    drops.set("queue", Json::uinteger(r.drops_queue));
+    drops.set("admin_down", Json::uinteger(r.drops_admin));
+    drops.set("gray", Json::uinteger(r.drops_gray));
+    drops.set("corrupt", Json::uinteger(r.drops_corrupt));
+    drops.set("no_route", Json::uinteger(r.drops_no_route));
+    Json e = Json::object();
+    e.set("campaign", Json::uinteger(i / n_policies));
+    e.set("policy", Json::string(cfg.policies[i % n_policies]));
+    e.set("survived", Json::boolean(r.survived));
+    e.set("drained", Json::boolean(r.drained));
+    e.set("conservation_ok", Json::boolean(r.conservation_ok));
+    e.set("flows", Json::uinteger(r.flows));
+    e.set("unfinished", Json::uinteger(r.unfinished));
+    e.set("bytes_outstanding", Json::uinteger(r.bytes_outstanding));
+    e.set("stalls", Json::uinteger(r.stalls));
+    e.set("fault_transitions", Json::uinteger(r.transitions));
+    e.set("drops", std::move(drops));
+    e.set("fct_digest", Json::string(json::hex64(r.fct_digest)));
+    e.set("trace_digest", Json::string(json::hex64(r.trace_digest)));
+    cell_list.push_back(std::move(e));
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"summary\": [\n");
+  Json summary = Json::array();
   for (std::size_t p = 0; p < n_policies; ++p) {
     std::uint64_t survived = 0, flows = 0, unfinished = 0, stalls = 0;
     for (std::size_t i = p; i < cells.size(); i += n_policies) {
@@ -257,20 +255,28 @@ void write_report(std::FILE* f, const AuditConfig& cfg,
       unfinished += cells[i].unfinished;
       stalls += cells[i].stalls;
     }
-    std::fprintf(f,
-                 "    {\"policy\": \"%s\", \"cells\": %d, \"survived\": "
-                 "%" PRIu64 ", \"flows_completed\": %" PRIu64
-                 ", \"unfinished\": %" PRIu64 ", \"stalls\": %" PRIu64 "}%s\n",
-                 cfg.policies[p].c_str(), cfg.campaigns, survived, flows,
-                 unfinished, stalls, p + 1 < n_policies ? "," : "");
+    Json e = Json::object();
+    e.set("policy", Json::string(cfg.policies[p]));
+    e.set("cells", Json::integer(cfg.campaigns));
+    e.set("survived", Json::uinteger(survived));
+    e.set("flows_completed", Json::uinteger(flows));
+    e.set("unfinished", Json::uinteger(unfinished));
+    e.set("stalls", Json::uinteger(stalls));
+    summary.push_back(std::move(e));
   }
-  std::fprintf(f, "  ],\n");
   bool ok = true;
   for (const CellResult& r : cells) ok = ok && r.conservation_ok;
-  std::fprintf(f, "  \"invariant_violations\": %" PRIu64 ",\n",
-               debug::violation_count());
-  std::fprintf(f, "  \"conservation_ok\": %s\n", ok ? "true" : "false");
-  std::fprintf(f, "}\n");
+
+  Json doc = Json::object();
+  doc.set("seed", Json::uinteger(cfg.seed));
+  doc.set("campaigns", Json::integer(cfg.campaigns));
+  doc.set("profile", Json::string(cfg.profile));
+  doc.set("load", Json::number(cfg.load));
+  doc.set("cells", std::move(cell_list));
+  doc.set("summary", std::move(summary));
+  doc.set("invariant_violations", Json::uinteger(debug::violation_count()));
+  doc.set("conservation_ok", Json::boolean(ok));
+  std::fputs(doc.dump_pretty().c_str(), f);
 }
 
 }  // namespace

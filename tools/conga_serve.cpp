@@ -58,6 +58,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/fingerprint.hpp"
 #include "campaign/supervisor.hpp"
+#include "json/json.hpp"
 #include "telemetry/telemetry.hpp"
 
 using namespace conga;
@@ -278,7 +279,7 @@ int cmd_expand(const Args& a) {
   return 0;
 }
 
-int make_and_emit_verdict(const campaign::Json& report,
+int make_and_emit_verdict(const json::Json& report,
                           const std::string& baseline_path,
                           const std::string& verdict_path, double tolerance) {
   std::string base_text;
@@ -288,14 +289,14 @@ int make_and_emit_verdict(const campaign::Json& report,
                  baseline_path.c_str());
     return 2;
   }
-  campaign::Json baseline;
-  if (!campaign::Json::parse(base_text, baseline, err)) {
+  json::Json baseline;
+  if (!json::Json::parse(base_text, baseline, err)) {
     std::fprintf(stderr, "conga_serve: baseline: %s\n", err.c_str());
     return 2;
   }
   campaign::VerdictOptions vopts;
   vopts.rel_fct_tolerance = tolerance;
-  campaign::Json verdict;
+  json::Json verdict;
   if (!campaign::make_verdict(report, baseline, vopts, verdict, err)) {
     std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
     return 2;
@@ -380,7 +381,7 @@ int cmd_run(const Args& a) {
   // Cache statistics are run-dependent by design; they go to stderr and
   // --stats-out, never into the report (which must stay byte-identical
   // between cold and warm runs).
-  const campaign::Json stats = campaign::stats_json(run.stats);
+  const json::Json stats = campaign::stats_json(run.stats);
   std::fprintf(stderr, "conga_serve: %s\n", stats.dump().c_str());
   if (!a.stats_path.empty() &&
       !write_file(a.stats_path, stats.dump_pretty() + "\n")) {
@@ -414,8 +415,8 @@ int cmd_run(const Args& a) {
   }
 
   if (!a.baseline_path.empty()) {
-    campaign::Json report;
-    if (!campaign::Json::parse(report_text, report, err)) {
+    json::Json report;
+    if (!json::Json::parse(report_text, report, err)) {
       std::fprintf(stderr, "conga_serve: internal: report unparseable: %s\n",
                    err.c_str());
       return 2;
@@ -440,8 +441,8 @@ int cmd_verdict(const Args& a) {
                  a.report_path.c_str());
     return 2;
   }
-  campaign::Json report;
-  if (!campaign::Json::parse(report_text, report, err)) {
+  json::Json report;
+  if (!json::Json::parse(report_text, report, err)) {
     std::fprintf(stderr, "conga_serve: report: %s\n", err.c_str());
     return 2;
   }
@@ -507,18 +508,18 @@ int cmd_store_stat(const Args& a) {
     std::fprintf(stderr, "conga_serve: %s\n", err.c_str());
     return 2;
   }
-  campaign::Json doc = campaign::Json::object();
-  doc.set("schema", campaign::Json::string("conga-store-stat-v1"));
-  doc.set("entries", campaign::Json::uinteger(st.entries));
-  doc.set("bytes", campaign::Json::uinteger(st.bytes));
-  doc.set("tmp_files", campaign::Json::uinteger(st.tmp_files));
-  doc.set("tmp_bytes", campaign::Json::uinteger(st.tmp_bytes));
-  campaign::Json buckets = campaign::Json::array();
+  json::Json doc = json::Json::object();
+  doc.set("schema", json::Json::string("conga-store-stat-v1"));
+  doc.set("entries", json::Json::uinteger(st.entries));
+  doc.set("bytes", json::Json::uinteger(st.bytes));
+  doc.set("tmp_files", json::Json::uinteger(st.tmp_files));
+  doc.set("tmp_bytes", json::Json::uinteger(st.tmp_bytes));
+  json::Json buckets = json::Json::array();
   for (const campaign::ResultStore::StatBucket& b : st.by_fingerprint) {
-    campaign::Json e = campaign::Json::object();
-    e.set("fingerprint", campaign::Json::string(b.fingerprint));
-    e.set("entries", campaign::Json::uinteger(b.entries));
-    e.set("bytes", campaign::Json::uinteger(b.bytes));
+    json::Json e = json::Json::object();
+    e.set("fingerprint", json::Json::string(b.fingerprint));
+    e.set("entries", json::Json::uinteger(b.entries));
+    e.set("bytes", json::Json::uinteger(b.bytes));
     buckets.push_back(std::move(e));
   }
   doc.set("by_fingerprint", std::move(buckets));

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "fault/fault_injector.hpp"
+#include "json/json.hpp"
 #include "lb_ext/policies.hpp"
 #include "net/fabric.hpp"
 #include "stats/summary.hpp"
@@ -60,29 +61,7 @@ namespace {
   std::exit(2);
 }
 
-// --- minimal JSONL field extraction -----------------------------------------
-// The reader only consumes traces this repo's exporter wrote ("conga-trace-v1"
-// schema, one flat object per line, machine-generated component names), so
-// plain string scanning is sufficient — no JSON dependency needed.
-
-/// The raw text after `"key":` (number or quoted string), or "" if absent.
-std::string field(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t i = at + needle.size();
-  if (line[i] == '"') {
-    const std::size_t end = line.find('"', i + 1);
-    return line.substr(i + 1, end - i - 1);
-  }
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(i, end - i);
-}
-
-bool is_event_line(const std::string& line) {
-  return line.rfind("{\"t\":", 0) == 0;
-}
+// --- JSONL reading ----------------------------------------------------------
 
 struct TraceFile {
   std::FILE* f = nullptr;
@@ -90,15 +69,30 @@ struct TraceFile {
     if (f == nullptr) usage((std::string("cannot open ") + path).c_str());
   }
   ~TraceFile() { std::fclose(f); }
-  bool next(std::string& line) {
-    line.clear();
+  /// Reads the next non-empty line into `line` and parses it into `doc`;
+  /// false at end of file. A line that is not JSON is a usage error.
+  bool next(std::string& line, json::Json& doc) {
     int c = 0;
-    while ((c = std::fgetc(f)) != EOF && c != '\n') {
-      line.push_back(static_cast<char>(c));
+    do {
+      line.clear();
+      while ((c = std::fgetc(f)) != EOF && c != '\n') {
+        line.push_back(static_cast<char>(c));
+      }
+    } while (line.empty() && c != EOF);
+    if (line.empty()) return false;
+    std::string err;
+    if (!json::Json::parse(line, doc, err)) {
+      usage(("malformed trace line: " + err).c_str());
     }
-    return !line.empty() || c != EOF;
+    return true;
   }
 };
+
+/// The string member `key` of an event object ("" when absent).
+std::string text_of(const json::Json& event, const char* key) {
+  const json::Json* v = event.find(key);
+  return v != nullptr && v->is_string() ? v->as_string() : "";
+}
 
 // --- record -----------------------------------------------------------------
 
@@ -245,23 +239,28 @@ int cmd_summary(const char* path) {
     v.emplace_back(k, 1);
   };
 
-  while (in.next(line)) {
-    if (!is_event_line(line)) {
-      if (line.rfind("{\"meta\":", 0) == 0) {
-        std::printf("meta: recorded=%s overwritten=%s mask=%s\n",
-                    field(line, "total_recorded").c_str(),
-                    field(line, "total_overwritten").c_str(),
-                    field(line, "category_mask").c_str());
+  json::Json doc;
+  while (in.next(line, doc)) {
+    const json::Json* at = doc.find("t");  // absent on the meta line
+    if (at == nullptr) {
+      if (const json::Json* meta = doc.find("meta")) {
+        auto count = [meta](const char* key) -> unsigned long long {
+          const json::Json* v = meta->find(key);
+          return v != nullptr ? v->as_uint() : 0;
+        };
+        std::printf("meta: recorded=%llu overwritten=%llu mask=%llu\n",
+                    count("total_recorded"), count("total_overwritten"),
+                    count("category_mask"));
       }
       continue;
     }
     ++events;
-    const long long t = std::atoll(field(line, "t").c_str());
+    const long long t = at->as_int();
     if (first || t < t_min) t_min = t;
     if (first || t > t_max) t_max = t;
     first = false;
-    bump(by_cat, field(line, "cat"));
-    bump(by_type, field(line, "type"));
+    bump(by_cat, text_of(doc, "cat"));
+    bump(by_type, text_of(doc, "type"));
   }
   std::printf("%llu exported events, %.3f ms .. %.3f ms\n",
               static_cast<unsigned long long>(events),
@@ -308,15 +307,17 @@ int cmd_slice(const char* path, int argc, char** argv) {
 
   TraceFile in(path);
   std::string line;
-  while (in.next(line)) {
-    if (!is_event_line(line)) continue;
-    const long long t = std::atoll(field(line, "t").c_str());
+  json::Json doc;
+  while (in.next(line, doc)) {
+    const json::Json* at = doc.find("t");  // absent on the meta line
+    if (at == nullptr) continue;
+    const long long t = at->as_int();
     if (from_ns >= 0 && t < from_ns) continue;
     if (to_ns >= 0 && t > to_ns) continue;
-    if (!cat.empty() && field(line, "cat") != cat) continue;
-    if (!type.empty() && field(line, "type") != type) continue;
+    if (!cat.empty() && text_of(doc, "cat") != cat) continue;
+    if (!type.empty() && text_of(doc, "type") != type) continue;
     if (!comp.empty() &&
-        field(line, "comp").find(comp) == std::string::npos) {
+        text_of(doc, "comp").find(comp) == std::string::npos) {
       continue;
     }
     std::puts(line.c_str());
@@ -337,15 +338,17 @@ int cmd_percentiles(const char* path, int argc, char** argv) {
   }
   TraceFile in(path);
   std::string line;
+  json::Json doc;
   stats::Summary values;
-  while (in.next(line)) {
-    if (!is_event_line(line)) continue;
-    if (field(line, "type") != "gauge_sample") continue;
+  while (in.next(line, doc)) {
+    if (doc.find("t") == nullptr) continue;
+    if (text_of(doc, "type") != "gauge_sample") continue;
     if (!comp.empty() &&
-        field(line, "comp").find(comp) == std::string::npos) {
+        text_of(doc, "comp").find(comp) == std::string::npos) {
       continue;
     }
-    values.add(std::atof(field(line, "value").c_str()));
+    const json::Json* value = doc.find("value");
+    values.add(value != nullptr ? value->as_double() : 0.0);
   }
   if (values.count() == 0) usage("no matching gauge_sample events");
   std::printf("%llu samples%s%s\n",
