@@ -151,8 +151,9 @@ struct SingleSimResult {
   double events_per_sec = 0;
 };
 
-debug::DigestScenario fig09_cell(double load, std::uint64_t seed, bool full) {
-  debug::DigestScenario s;
+workload::ExperimentConfig fig09_cell(double load, std::uint64_t seed,
+                                      bool full) {
+  workload::ExperimentConfig s;
   s.topo = net::testbed_baseline();
   s.topo.hosts_per_leaf = 16;
   s.lb = core::conga();
@@ -162,16 +163,18 @@ debug::DigestScenario fig09_cell(double load, std::uint64_t seed, bool full) {
   s.measure = sim::milliseconds(full ? 50 : 10);
   s.fabric_seed = seed;
   s.traffic_seed = seed * 31 + 7;
-  // Timing phases run without a sink so events/sec stays comparable with
-  // pre-telemetry baselines; the telemetry_overhead phase below measures the
-  // masked/full cost explicitly.
-  s.telemetry = debug::TelemetryMode::kOff;
   return s;
 }
 
+// Timing phases run without a sink so events/sec stays comparable with
+// pre-telemetry baselines; the telemetry_overhead phase below measures the
+// masked/full cost explicitly.
+constexpr debug::TelemetryMode kTimingTelemetry = debug::TelemetryMode::kOff;
+
 SingleSimResult run_single_sim(bool full) {
   const Clock::time_point start = Clock::now();
-  const debug::RunDigests d = debug::run_digest_trial(fig09_cell(0.6, 1, full));
+  const debug::RunDigests d =
+      debug::run_digest_trial(fig09_cell(0.6, 1, full), kTimingTelemetry);
   SingleSimResult r;
   r.wall_s = seconds_since(start);
   r.events = d.events;
@@ -204,10 +207,10 @@ GridResult run_grid_phase(int jobs, bool full) {
   }
 
   auto run_cell = [&](std::size_t i) {
-    debug::DigestScenario s =
+    workload::ExperimentConfig s =
         fig09_cell(cells[i].load, 2 + static_cast<std::uint64_t>(i), full);
     if (!cells[i].conga) s.lb = lb::ecmp();
-    return debug::run_digest_trial(s);
+    return debug::run_digest_trial(s, kTimingTelemetry);
   };
 
   GridResult g;
@@ -242,11 +245,12 @@ struct TelemetryOverheadResult {
 
 /// Best-of-`trials` events/sec for one scenario (best-of filters scheduler
 /// noise, which at these run lengths dwarfs the masked-telemetry cost).
-double best_events_per_sec(const debug::DigestScenario& s, int trials) {
+double best_events_per_sec(const workload::ExperimentConfig& s,
+                           debug::TelemetryMode mode, int trials) {
   double best = 0;
   for (int i = 0; i < trials; ++i) {
     const Clock::time_point start = Clock::now();
-    const debug::RunDigests d = debug::run_digest_trial(s);
+    const debug::RunDigests d = debug::run_digest_trial(s, mode);
     const double wall = seconds_since(start);
     if (wall > 0) {
       best = std::max(best, static_cast<double>(d.events) / wall);
@@ -257,14 +261,12 @@ double best_events_per_sec(const debug::DigestScenario& s, int trials) {
 
 TelemetryOverheadResult run_telemetry_overhead(bool full) {
   const int trials = full ? 5 : 3;
-  debug::DigestScenario s = fig09_cell(0.6, 1, full);
+  const workload::ExperimentConfig s = fig09_cell(0.6, 1, full);
   TelemetryOverheadResult r;
-  s.telemetry = debug::TelemetryMode::kOff;
-  r.eps_off = best_events_per_sec(s, trials);
-  s.telemetry = debug::TelemetryMode::kMasked;
-  r.eps_masked = best_events_per_sec(s, trials);
-  s.telemetry = debug::TelemetryMode::kFull;
-  r.eps_full = best_events_per_sec(s, trials);
+  r.eps_off = best_events_per_sec(s, debug::TelemetryMode::kOff, trials);
+  r.eps_masked =
+      best_events_per_sec(s, debug::TelemetryMode::kMasked, trials);
+  r.eps_full = best_events_per_sec(s, debug::TelemetryMode::kFull, trials);
   // The gate this PR promises: telemetry compiled in but runtime-disabled
   // must cost < 5% events/sec.
   r.within_budget = r.eps_masked >= 0.95 * r.eps_off;

@@ -1,13 +1,11 @@
 #include "campaign/experiment_spec.hpp"
 
 #include <cstdlib>
-#include <memory>
+#include <optional>
 #include <utility>
 
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "lb_ext/policies.hpp"
-#include "sim/random.hpp"
 #include "stats/digest.hpp"
 #include "tcp/flow.hpp"
 #include "workload/flow_size_dist.hpp"
@@ -215,39 +213,6 @@ std::string cell_key(const ExperimentSpec& spec,
   return json::hex64(json::fnv1a64(keyed)) + json::hex64(stream.value());
 }
 
-namespace {
-
-const workload::FlowSizeDist* find_builtin_dist(const std::string& name) {
-  if (name == "enterprise") return &workload::enterprise();
-  if (name == "datamining") return &workload::data_mining();
-  if (name == "websearch") return &workload::web_search();
-  return nullptr;
-}
-
-/// The chaos_audit gray profile: 2-3 gray-failure links drawn from the fault
-/// seed, covering the whole measurement window.
-fault::FaultPlan make_gray_plan(const net::TopologyConfig& topo,
-                                std::uint64_t seed, sim::TimeNs horizon) {
-  sim::Rng rng(seed);
-  fault::FaultPlan plan;
-  const int n = static_cast<int>(rng.uniform_int(2, 3));
-  for (int i = 0; i < n; ++i) {
-    fault::GrayFailureSpec s;
-    s.leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
-    s.spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
-    s.parallel =
-        static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
-    s.drop_prob = rng.uniform(0.005, 0.03);
-    s.corrupt_prob = rng.uniform(0.0, 0.01);
-    s.start = 0;
-    s.stop = horizon;
-    plan.add(s);
-  }
-  return plan;
-}
-
-}  // namespace
-
 bool to_experiment_config(const ExperimentSpec& spec,
                           workload::ExperimentConfig& out, std::string& err) {
   const lb_ext::PolicyInfo* info = lb_ext::find_policy(spec.policy);
@@ -256,19 +221,12 @@ bool to_experiment_config(const ExperimentSpec& spec,
           "' (registered: " + lb_ext::policy_names() + ")";
     return false;
   }
-  workload::ExperimentConfig cfg;
-  if (spec.dist.rfind("fixed:", 0) == 0) {
-    const double bytes = std::strtod(spec.dist.c_str() + 6, nullptr);
-    if (!(bytes >= 1)) {
-      err = "bad fixed distribution '" + spec.dist + "'";
-      return false;
-    }
-    cfg.dist = workload::fixed_size(bytes);
-  } else if (const workload::FlowSizeDist* d = find_builtin_dist(spec.dist)) {
-    cfg.dist = *d;
-  } else {
-    err = "unknown distribution '" + spec.dist +
-          "' (enterprise|datamining|websearch|fixed:<bytes>)";
+  std::optional<workload::FlowSizeDist> dist =
+      workload::dist_by_name(spec.dist);
+  if (!dist) {
+    err = (spec.dist.rfind("fixed:", 0) == 0 ? "bad fixed distribution '"
+                                              : "unknown distribution '") +
+          spec.dist + "' (" + workload::kDistNames + ")";
     return false;
   }
   if (!(spec.load > 0.0) || spec.load > 1.0) {
@@ -293,48 +251,35 @@ bool to_experiment_config(const ExperimentSpec& spec,
     return false;
   }
 
+  workload::ExperimentConfig cfg;
   const sim::TimeNs horizon = spec.warmup_ns + spec.measure_ns;
-  fault::FaultPlan plan;
   if (spec.fault.profile == "random") {
     fault::RandomPlanConfig rc;
     rc.horizon = horizon;
-    plan = fault::make_random_plan(spec.topo, spec.fault.seed, rc);
+    cfg.faults = fault::make_random_plan(spec.topo, spec.fault.seed, rc);
   } else if (spec.fault.profile == "gray") {
-    plan = make_gray_plan(spec.topo, spec.fault.seed, horizon);
+    cfg.faults = fault::make_gray_plan(spec.topo, spec.fault.seed, horizon);
   } else if (spec.fault.profile != "none") {
     err = "unknown fault profile '" + spec.fault.profile +
           "' (none|random|gray)";
     return false;
   }
+  cfg.fault_seed = spec.fault.seed;
 
   cfg.topo = spec.topo;
+  cfg.dist = std::move(*dist);
   cfg.load = spec.load;
   tcp::TcpConfig tcp_cfg;
   tcp_cfg.min_rto = spec.min_rto_ns;
   tcp_cfg.dctcp = spec.dctcp;
   cfg.transport = tcp::make_tcp_flow_factory(tcp_cfg);
   cfg.lb = lb_ext::make_policy(spec.policy);
+  cfg.spine_drill = info->spine_drill;
   cfg.warmup = spec.warmup_ns;
   cfg.measure = spec.measure_ns;
   cfg.max_drain = spec.max_drain_ns;
   cfg.fabric_seed = spec.fabric_seed;
   cfg.traffic_seed = spec.traffic_seed;
-
-  const bool spine_drill = info->spine_drill;
-  if (spine_drill || !plan.empty()) {
-    // The holder keeps the injector alive for as long as the returned config
-    // (run_fct_experiment's callers hold the config through the run).
-    auto holder = std::make_shared<std::unique_ptr<fault::FaultInjector>>();
-    const std::uint64_t fault_seed = spec.fault.seed;
-    cfg.fabric_hook = [spine_drill, plan, fault_seed,
-                       holder](net::Fabric& f) {
-      if (spine_drill) f.set_spine_drill(true);
-      if (!plan.empty()) {
-        *holder = std::make_unique<fault::FaultInjector>(f, fault_seed);
-        (*holder)->arm(plan);
-      }
-    };
-  }
   out = std::move(cfg);
   return true;
 }

@@ -2,14 +2,14 @@
 // caching.
 //
 // workload::ExperimentConfig holds function-valued members (the transport
-// factory, the LB factory, the fabric hook), so it cannot be hashed or
-// stored. ExperimentSpec is its declarative mirror: every axis the sweeps
-// vary, expressed as plain data — the policy by its registry name, the
-// distribution by name, the topology as the (already declarative)
-// TopologyConfig, faults as a named profile plus seed. A spec expands to an
-// ExperimentConfig via the policy/distribution registries, and serializes to
-// *canonical JSON*: one fixed field order, shortest-round-trip doubles, no
-// whitespace — the byte sequence the content-addressed store keys on.
+// and LB factories), so it cannot be hashed or stored. ExperimentSpec is its
+// declarative mirror: every axis the sweeps vary, expressed as plain data —
+// the policy by its registry name, the distribution by name, the topology as
+// the (already declarative) TopologyConfig, faults as a named profile plus
+// seed. A spec expands to an ExperimentConfig via the policy/distribution
+// registries, and serializes to *canonical JSON*: one fixed field order,
+// shortest-round-trip doubles, no whitespace — the byte sequence the
+// content-addressed store keys on.
 //
 // Canonical contract (tests/campaign_test.cpp enforces it):
 //   parse(canonical_json(s)) == s  and  canonical_json(parse(text)) is
@@ -33,8 +33,8 @@ namespace conga::campaign {
 /// Fault axis of a cell: a named profile executed off a keyed seed.
 ///  * "none"   — no injector (bit-identical to a run without one).
 ///  * "random" — fault::make_random_plan over the cell's topology.
-///  * "gray"   — 2-3 gray-failure links (loss + corruption the control plane
-///               never hears about), the chaos_audit gray profile.
+///  * "gray"   — fault::make_gray_plan: 2-3 gray-failure links (loss +
+///               corruption the control plane never hears about).
 struct FaultSpec {
   std::string profile = "none";
   std::uint64_t seed = 1;
@@ -95,11 +95,10 @@ inline constexpr const char* kPodCellError =
     "3-tier pod topologies (num_pods != 1) are not campaign cells";
 
 /// Expands the spec to a runnable config, resolving the policy and
-/// distribution registries and arming the fault profile (the returned
-/// config's fabric_hook owns the injector; keep the config alive through the
-/// run, as run_fct_experiment's callers do). Returns false and sets `err`
-/// for unknown names or invalid parameters (fewer than 2 leaves and pod
-/// topologies included); `out` is untouched on failure.
+/// distribution registries and drawing the fault profile into a plan.
+/// Returns false and sets `err` for unknown names or invalid parameters
+/// (fewer than 2 leaves and pod topologies included); `out` is untouched on
+/// failure.
 bool to_experiment_config(const ExperimentSpec& spec,
                           workload::ExperimentConfig& out, std::string& err);
 

@@ -1,55 +1,37 @@
 #include "debug/determinism.hpp"
 
-#include "fault/fault_injector.hpp"
 #include "stats/digest.hpp"
 #include "telemetry/telemetry.hpp"
-#include "workload/traffic_gen.hpp"
 
 namespace conga::debug {
 
-RunDigests run_digest_trial(const DigestScenario& s) {
-  sim::Scheduler sched;
-  stats::TraceDigest trace;
-  sched.set_trace_hook([&trace](sim::TimeNs t, sim::EventId id) {
-    trace.add(static_cast<std::uint64_t>(t));
-    trace.add(id);
-  });
-
-  net::Fabric fabric(sched, s.topo, s.fabric_seed);
-  fabric.install_lb(s.lb);
-
+RunDigests run_digest_trial(const workload::ExperimentConfig& cfg,
+                            TelemetryMode telemetry) {
   // Small rings: the audit only needs the streaming digest (which covers
   // every event, retained or not), so don't hold event history per link.
   telemetry::TraceSinkConfig sink_cfg;
   sink_cfg.ring_capacity = 64;
   telemetry::TraceSink sink(sink_cfg);
-  if (s.telemetry != TelemetryMode::kOff) {
-    if (s.telemetry == TelemetryMode::kMasked) sink.set_category_mask(0);
-    fabric.attach_telemetry(&sink);
+  stats::TraceDigest trace;
+
+  workload::Experiment exp(cfg);
+  exp.scheduler().set_trace_hook([&trace](sim::TimeNs t, sim::EventId id) {
+    trace.add(static_cast<std::uint64_t>(t));
+    trace.add(id);
+  });
+  if (telemetry != TelemetryMode::kOff) {
+    if (telemetry == TelemetryMode::kMasked) sink.set_category_mask(0);
+    exp.fabric().attach_telemetry(&sink);
   }
 
-  workload::TrafficGenConfig gc;
-  gc.load = s.load;
-  gc.stop = s.warmup + s.measure;
-  gc.measure_start = s.warmup;
-  gc.measure_stop = gc.stop;
-  gc.seed = s.traffic_seed;
-
-  tcp::FlowFactory transport =
-      s.transport ? s.transport : tcp::make_tcp_flow_factory({});
-  workload::TrafficGenerator gen(fabric, transport, s.dist, gc);
-  gen.start();
-
-  fault::FaultInjector injector(fabric, s.fault_seed);
-  injector.arm(s.faults);
-
+  const workload::ExperimentResult res = exp.run();
   RunDigests r;
-  r.drained = workload::run_with_drain(sched, gen, gc.stop, s.max_drain);
-  r.fct = stats::fct_digest(gen.collector());
+  r.drained = res.drained;
+  r.fct = res.fct_digest;
   r.trace = trace.value();
-  r.events = sched.events_dispatched();
-  r.flows = gen.collector().count();
-  if (s.telemetry != TelemetryMode::kOff) r.telemetry = sink.digest();
+  r.events = exp.scheduler().events_dispatched();
+  r.flows = res.flows;
+  if (telemetry != TelemetryMode::kOff) r.telemetry = sink.digest();
   return r;
 }
 

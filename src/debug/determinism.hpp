@@ -17,11 +17,7 @@
 
 #include <cstdint>
 
-#include "fault/fault_plan.hpp"
-#include "net/fabric.hpp"
-#include "sim/time.hpp"
-#include "tcp/flow.hpp"
-#include "workload/flow_size_dist.hpp"
+#include "workload/experiment.hpp"
 
 namespace conga::debug {
 
@@ -32,28 +28,6 @@ enum class TelemetryMode {
   kOff,     ///< no sink attached (what perf timing uses)
   kMasked,  ///< sink attached, every category masked off
   kFull,    ///< sink attached, all categories enabled
-};
-
-/// One experiment cell to fingerprint. Mirrors workload::ExperimentConfig,
-/// minus the summary knobs that do not affect the packet-level schedule.
-struct DigestScenario {
-  net::TopologyConfig topo;
-  net::Fabric::LbFactory lb;                          ///< required
-  workload::FlowSizeDist dist = workload::enterprise();
-  tcp::FlowFactory transport;                         ///< empty = plain TCP
-  double load = 0.6;
-  sim::TimeNs warmup = sim::milliseconds(5);
-  sim::TimeNs measure = sim::milliseconds(20);
-  sim::TimeNs max_drain = sim::seconds(1.0);
-  std::uint64_t fabric_seed = 1;
-  std::uint64_t traffic_seed = 7;
-  TelemetryMode telemetry = TelemetryMode::kFull;
-  /// Fault campaign armed before the run (empty = no injector activity; the
-  /// trial is then bit-identical to one without the injector). Injected
-  /// faults are part of the fingerprinted schedule, so a fault-campaign
-  /// trial must reproduce its digests exactly like a fault-free one.
-  fault::FaultPlan faults;
-  std::uint64_t fault_seed = 11;
 };
 
 struct RunDigests {
@@ -70,7 +44,9 @@ struct RunDigests {
   friend bool operator==(const RunDigests&, const RunDigests&) = default;
 };
 
-/// Builds a fresh simulation from `s`, runs it to completion, and digests it.
-RunDigests run_digest_trial(const DigestScenario& s);
+/// Builds the cell `cfg` as a workload::Experiment, attaches the trace hook
+/// and (per `telemetry`) a sink, runs it to completion, and digests it.
+RunDigests run_digest_trial(const workload::ExperimentConfig& cfg,
+                            TelemetryMode telemetry = TelemetryMode::kFull);
 
 }  // namespace conga::debug

@@ -127,4 +127,12 @@ struct RandomPlanConfig {
 FaultPlan make_random_plan(const net::TopologyConfig& topo, std::uint64_t seed,
                            const RandomPlanConfig& cfg = {});
 
+/// The gray-only campaign: 2-3 gray-failure links (Bernoulli loss plus
+/// corruption the control plane never hears about) drawn from `seed`, each
+/// active over [0, horizon). Congestion-aware schemes can at best route
+/// around the retransmission load; the "gray" profile of chaos_audit and of
+/// campaign cells.
+FaultPlan make_gray_plan(const net::TopologyConfig& topo, std::uint64_t seed,
+                         sim::TimeNs horizon);
+
 }  // namespace conga::fault

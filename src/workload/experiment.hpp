@@ -1,14 +1,17 @@
 // Reusable FCT-experiment harness: one (topology, workload, load, scheme,
-// transport) cell of the paper's evaluation grid, with warmup, a measurement
-// window, and a bounded drain. Used by the fig09/10/11/15 benches, the
-// ablation bench, and the examples.
+// transport, fault plan) cell of the paper's evaluation grid, with warmup, a
+// measurement window, and a bounded drain. Built here: the fig09/10/11/15
+// grid cells, campaign cells, the determinism and chaos audits, and
+// conga_sim.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <optional>
 
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "net/fabric.hpp"
+#include "sim/scheduler.hpp"
 #include "stats/fct_collector.hpp"
 #include "tcp/flow.hpp"
 #include "workload/flow_size_dist.hpp"
@@ -22,16 +25,19 @@ struct ExperimentConfig {
   double load = 0.6;
   tcp::FlowFactory transport;  ///< defaults to plain TCP if empty
   net::Fabric::LbFactory lb;   ///< required
+  /// Spines forward with DRILL's queue-aware two-choices as well
+  /// (lb_ext::PolicyInfo::spine_drill of the policy behind `lb`).
+  bool spine_drill = false;
   sim::TimeNs warmup = sim::milliseconds(10);
   sim::TimeNs measure = sim::milliseconds(40);
   sim::TimeNs max_drain = sim::seconds(1.0);
   std::uint64_t fabric_seed = 1;
   std::uint64_t traffic_seed = 7;
-
-  /// Called after install_lb, before traffic starts — for fabric-wide modes
-  /// a plain LbFactory cannot reach (e.g. Fabric::set_spine_drill for the
-  /// "drill" policy, or link degradation for asymmetric cells).
-  std::function<void(net::Fabric&)> fabric_hook;
+  /// Fault campaign armed once traffic has started (empty = no injector; the
+  /// run is then bit-identical to one without fault support). Spec times are
+  /// absolute simulated times.
+  fault::FaultPlan faults;
+  std::uint64_t fault_seed = 11;
 };
 
 struct ExperimentResult {
@@ -62,7 +68,43 @@ struct ExperimentResult {
   std::uint64_t probes_received = 0;
 };
 
-/// Runs one experiment cell to completion and summarizes it.
+/// One experiment cell, built but not yet run. The constructor wires the
+/// scheduler, fabric, load balancer and traffic generator from the config;
+/// callers attach a trace hook, telemetry sink or flow monitor through the
+/// accessors before run(), and inspect the fabric and collector after it.
+class Experiment {
+ public:
+  explicit Experiment(const ExperimentConfig& cfg);
+
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
+
+  /// Starts the traffic, arms the fault plan, runs the window and the drain,
+  /// and summarises the measured flows. Call once.
+  ExperimentResult run();
+
+  sim::Scheduler& scheduler() { return sched_; }
+  net::Fabric& fabric() { return fabric_; }
+  TrafficGenerator& generator() { return gen_; }
+
+  /// Fault transitions applied so far (0 for an empty plan).
+  std::uint64_t fault_transitions() const {
+    return injector_ ? injector_->transitions() : 0;
+  }
+
+ private:
+  sim::Scheduler sched_;
+  net::Fabric fabric_;
+  TrafficGenerator gen_;
+  fault::FaultPlan faults_;
+  std::uint64_t fault_seed_;
+  sim::TimeNs stop_;
+  sim::TimeNs max_drain_;
+  std::optional<fault::FaultInjector> injector_;
+};
+
+/// Runs one experiment cell to completion and summarizes it:
+/// Experiment(cfg).run().
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg);
 
 }  // namespace conga::workload

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <utility>
 
 namespace conga::workload {
@@ -137,6 +138,17 @@ const FlowSizeDist& web_search() {
 
 FlowSizeDist fixed_size(double bytes) {
   return FlowSizeDist("fixed", {{bytes, 1.0}});
+}
+
+std::optional<FlowSizeDist> dist_by_name(const std::string& name) {
+  if (name == "enterprise") return enterprise();
+  if (name == "datamining" || name == "data-mining") return data_mining();
+  if (name == "websearch" || name == "web-search") return web_search();
+  if (name.rfind("fixed:", 0) == 0) {
+    const double bytes = std::strtod(name.c_str() + 6, nullptr);
+    if (bytes >= 1) return fixed_size(bytes);
+  }
+  return std::nullopt;
 }
 
 }  // namespace conga::workload

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,5 +74,14 @@ const FlowSizeDist& web_search();
 /// Degenerate distribution (every flow the same size) — the easy case of
 /// Theorem 2 (coefficient of variation 0).
 FlowSizeDist fixed_size(double bytes);
+
+/// The spellings dist_by_name() accepts, for usage and error messages.
+inline constexpr const char* kDistNames =
+    "enterprise|datamining|websearch|fixed:<bytes>";
+
+/// One name table for every tool and campaign cell: "enterprise",
+/// "datamining" (or "data-mining"), "websearch" (or "web-search"), or
+/// "fixed:<bytes>" with at least one byte. Empty for anything else.
+std::optional<FlowSizeDist> dist_by_name(const std::string& name);
 
 }  // namespace conga::workload

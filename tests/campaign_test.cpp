@@ -315,6 +315,47 @@ TEST(CampaignRun, UnrunnableTopologiesFailCleanly) {
   EXPECT_FALSE(to_experiment_config(twin.spec, cfg, err));
 }
 
+/// One fault cell on the shrunken testbed (50% load, 1 + 4 ms).
+ExperimentSpec fault_cell(const std::string& policy,
+                          const std::string& profile, std::uint64_t seed) {
+  ExperimentSpec s;
+  s.policy = policy;
+  s.load = 0.5;
+  s.topo = net::testbed_baseline();
+  s.topo.hosts_per_leaf = 4;
+  s.warmup_ns = sim::milliseconds(1);
+  s.measure_ns = sim::milliseconds(4);
+  s.max_drain_ns = sim::milliseconds(300);
+  s.fault = {profile, seed};
+  return s;
+}
+
+// The fault profiles (drawn plan, injector seed, arming time) and DRILL's
+// spine mode reach a cell only through to_experiment_config; these digests
+// pin what a gray and a random cell compute, so a change in how a spec
+// becomes a run cannot pass unseen.
+TEST(CampaignCell, FaultCellsMatchPinnedDigests) {
+  struct Pin {
+    const char* policy;
+    const char* profile;
+    std::uint64_t seed;
+    std::uint64_t fct_digest;
+  };
+  for (const Pin& p : {Pin{"conga", "gray", 1, 0x1ea6b64a34a11536ULL},
+                       Pin{"drill", "random", 2, 0x8db528ac593267d7ULL}}) {
+    workload::ExperimentConfig cfg;
+    std::string err;
+    ASSERT_TRUE(
+        to_experiment_config(fault_cell(p.policy, p.profile, p.seed), cfg, err))
+        << err;
+    EXPECT_FALSE(cfg.faults.empty()) << p.profile;
+    const workload::ExperimentResult r = workload::run_fct_experiment(cfg);
+    EXPECT_EQ(r.fct_digest, p.fct_digest) << p.policy << "/" << p.profile;
+    EXPECT_EQ(r.flows, 59u);
+    EXPECT_TRUE(r.drained);
+  }
+}
+
 TEST(CampaignVerdict, PassAndRegressionAndMissing) {
   const CampaignSpec spec = tiny_campaign();
   RunOptions opts;

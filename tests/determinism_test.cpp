@@ -13,6 +13,7 @@
 #include "runtime/parallel_runner.hpp"
 #include "stats/digest.hpp"
 #include "stats/fct_collector.hpp"
+#include "workload/experiment.hpp"
 #include "workload/flow_size_dist.hpp"
 
 namespace conga {
@@ -72,9 +73,9 @@ TEST(Digest, FctDigestFieldsAreNotInterchangeable) {
   EXPECT_NE(stats::fct_digest(a), stats::fct_digest(b));
 }
 
-debug::DigestScenario small_scenario(std::uint64_t fabric_seed,
+workload::ExperimentConfig small_scenario(std::uint64_t fabric_seed,
                                      std::uint64_t traffic_seed) {
-  debug::DigestScenario s;
+  workload::ExperimentConfig s;
   s.topo.num_leaves = 3;
   s.topo.num_spines = 2;
   s.topo.hosts_per_leaf = 4;
@@ -112,7 +113,7 @@ TEST(DeterminismRegression, GrayFailureCampaignIsDeterministicAcrossJobs) {
   // loss draws). The digests must still be a pure function of the scenario:
   // identical when the same cell runs sequentially or on a thread pool.
   auto scenario = [](std::size_t cell) {
-    debug::DigestScenario s = small_scenario(1, 7 + cell);
+    workload::ExperimentConfig s = small_scenario(1, 7 + cell);
     fault::GrayFailureSpec g;
     g.leaf = static_cast<int>(cell % 3);
     g.drop_prob = 0.02;
@@ -140,8 +141,8 @@ TEST(DeterminismRegression, GrayFailureCampaignIsDeterministicAcrossJobs) {
 // reordered tie-break, a scheduler rework); these constants can. A change
 // that alters the simulated schedule on purpose re-baselines them here and
 // says so.
-debug::DigestScenario audit_scenario(std::uint64_t seed) {
-  debug::DigestScenario s;
+workload::ExperimentConfig audit_scenario(std::uint64_t seed) {
+  workload::ExperimentConfig s;
   s.topo = net::testbed_baseline();
   s.topo.hosts_per_leaf = 8;
   s.lb = core::conga();
@@ -187,6 +188,33 @@ TEST(DeterminismRegression, AuditSeedThreeMatchesPinnedDigests) {
   EXPECT_TRUE(d.drained);
 #ifdef CONGA_TELEMETRY
   EXPECT_EQ(d.telemetry, 0x395a1e18d7486538ULL);
+#endif
+}
+
+// A 3-tier cell (2 pods x 2 leaves x 2 spines, 2 cores, 4 hosts/leaf;
+// CONGA, fixed 100 KB flows, 30% load, 1 + 5 ms, seeds 1/7). Inter-pod flows
+// cross the core tier, so these constants catch a drift in pod wiring or core
+// forwarding that the 2-tier seeds above cannot see.
+TEST(DeterminismRegression, PodCellMatchesPinnedDigests) {
+  workload::ExperimentConfig s;
+  s.topo.num_pods = 2;
+  s.topo.num_leaves = 4;  // 2 per pod
+  s.topo.num_spines = 2;  // per pod
+  s.topo.hosts_per_leaf = 4;
+  s.topo.num_cores = 2;
+  s.lb = core::conga();
+  s.dist = workload::fixed_size(100'000);
+  s.load = 0.3;
+  s.warmup = sim::milliseconds(1);
+  s.measure = sim::milliseconds(5);
+  const debug::RunDigests d = debug::run_digest_trial(s);
+  EXPECT_EQ(d.fct, 0x0bbef227a9cb82b0ULL);
+  EXPECT_EQ(d.trace, 0x4facf995e9ecec90ULL);
+  EXPECT_EQ(d.events, 985'004u);
+  EXPECT_EQ(d.flows, 552u);
+  EXPECT_TRUE(d.drained);
+#ifdef CONGA_TELEMETRY
+  EXPECT_EQ(d.telemetry, 0x8e4b29d534074725ULL);
 #endif
 }
 

@@ -16,6 +16,7 @@
 #include "net/fabric.hpp"
 #include "tcp/flow.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/experiment.hpp"
 #include "workload/flow_size_dist.hpp"
 
 namespace conga {
@@ -395,8 +396,8 @@ TEST(FaultPlan, RandomPlanRespectsBoundsAndClearsByHorizon) {
   }
 }
 
-debug::DigestScenario digest_scenario() {
-  debug::DigestScenario s;
+workload::ExperimentConfig digest_scenario() {
+  workload::ExperimentConfig s;
   s.topo = topo2x2(4);
   s.lb = core::conga();
   s.dist = workload::fixed_size(100'000);
@@ -409,9 +410,9 @@ debug::DigestScenario digest_scenario() {
 TEST(FaultInjector, EmptyPlanNeverTouchesTheFaultSeed) {
   // Pay-for-what-you-use: with no faults, the fault seed must be dead — two
   // runs differing only in fault_seed are bit-identical.
-  debug::DigestScenario a = digest_scenario();
+  workload::ExperimentConfig a = digest_scenario();
   a.fault_seed = 11;
-  debug::DigestScenario b = digest_scenario();
+  workload::ExperimentConfig b = digest_scenario();
   b.fault_seed = 999;
   const debug::RunDigests ra = debug::run_digest_trial(a);
   const debug::RunDigests rb = debug::run_digest_trial(b);
@@ -420,7 +421,7 @@ TEST(FaultInjector, EmptyPlanNeverTouchesTheFaultSeed) {
 }
 
 TEST(FaultInjector, GrayCampaignReproducesAndPerturbsTheSchedule) {
-  debug::DigestScenario s = digest_scenario();
+  workload::ExperimentConfig s = digest_scenario();
   fault::GrayFailureSpec g;
   g.drop_prob = 0.02;
   g.corrupt_prob = 0.01;

@@ -14,6 +14,7 @@
 #include "debug/determinism.hpp"
 #include "lb/factories.hpp"
 #include "net/queue.hpp"
+#include "workload/experiment.hpp"
 #include "workload/flow_size_dist.hpp"
 
 namespace conga {
@@ -175,7 +176,7 @@ TEST(HookIntegration, HealthyQueueRaisesNothing) {
 // violations. This is the CONGA_CHECK_INVARIANTS=ON integration gate.
 TEST(HookIntegration, SmallSimulationRunsCleanly) {
   ScopedViolationCapture cap;
-  debug::DigestScenario s;
+  workload::ExperimentConfig s;
   s.topo.num_leaves = 2;
   s.topo.num_spines = 2;
   s.topo.hosts_per_leaf = 4;

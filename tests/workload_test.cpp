@@ -69,6 +69,26 @@ TEST(FlowSizeDist, CoeffOfVariationOrdersWorkloads) {
   EXPECT_GT(enterprise().coeff_of_variation(), 1.0);
 }
 
+TEST(FlowSizeDist, NameTableAcceptsEverySpelling) {
+  for (const char* name : {"datamining", "data-mining"}) {
+    ASSERT_TRUE(dist_by_name(name)) << name;
+    EXPECT_EQ(dist_by_name(name)->mean_bytes(), data_mining().mean_bytes());
+  }
+  for (const char* name : {"websearch", "web-search"}) {
+    ASSERT_TRUE(dist_by_name(name)) << name;
+    EXPECT_EQ(dist_by_name(name)->mean_bytes(), web_search().mean_bytes());
+  }
+  ASSERT_TRUE(dist_by_name("enterprise"));
+  EXPECT_EQ(dist_by_name("enterprise")->mean_bytes(),
+            enterprise().mean_bytes());
+  ASSERT_TRUE(dist_by_name("fixed:500000"));
+  EXPECT_DOUBLE_EQ(dist_by_name("fixed:500000")->mean_bytes(), 500'000);
+  for (const char* bad : {"", "Enterprise", "web_search", "fixed:", "fixed:0",
+                          "fixed:abc", "fixed"}) {
+    EXPECT_FALSE(dist_by_name(bad)) << bad;
+  }
+}
+
 TEST(FlowSizeDist, FixedSizeHasZeroVariance) {
   const FlowSizeDist d = fixed_size(5000);
   EXPECT_DOUBLE_EQ(d.mean_bytes(), 5000);

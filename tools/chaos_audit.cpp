@@ -30,7 +30,9 @@
 //   --load F        offered load                            [default 0.5]
 //   --lb LIST       comma-separated policy subset to audit  [default: all]
 //
-// The "gray" profile draws gray-failure faults only (Bernoulli loss +
+// Each cell is a workload::Experiment with the watchdog, a telemetry sink and
+// a trace hook attached. The "gray" profile (fault::make_gray_plan, shared
+// with campaign cells) draws gray-failure faults only (Bernoulli loss +
 // corruption on a few links), the scenario behind the CONGA-vs-ECMP
 // survival comparison; "random" mixes all five fault kinds.
 #include <cinttypes>
@@ -41,13 +43,12 @@
 
 #include "debug/invariants.hpp"
 #include "debug/watchdog.hpp"
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "json/json.hpp"
 #include "lb_ext/policies.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "stats/digest.hpp"
-#include "workload/traffic_gen.hpp"
+#include "workload/experiment.hpp"
 
 using namespace conga;
 
@@ -103,97 +104,59 @@ struct CellResult {
   bool survived = false;  ///< drained with a balanced packet ledger
 };
 
-fault::FaultPlan make_plan(const AuditConfig& cfg,
-                           const net::TopologyConfig& topo,
-                           std::uint64_t plan_seed, sim::TimeNs horizon) {
-  if (cfg.profile == "gray") {
-    // Gray-only campaign: loss + corruption on a few links, the control
-    // plane never told. Congestion-aware schemes can at best route around
-    // the *retransmission* load; the survival comparison (conga vs ecmp
-    // completed flows) is the Fig-16-style robustness headline.
-    sim::Rng rng(plan_seed);
-    fault::FaultPlan plan;
-    const int n = static_cast<int>(rng.uniform_int(2, 3));
-    for (int i = 0; i < n; ++i) {
-      fault::GrayFailureSpec s;
-      s.leaf = static_cast<int>(rng.uniform_int(0, topo.num_leaves - 1));
-      s.spine = static_cast<int>(rng.uniform_int(0, topo.num_spines - 1));
-      s.parallel =
-          static_cast<int>(rng.uniform_int(0, topo.links_per_spine - 1));
-      s.drop_prob = rng.uniform(0.005, 0.03);
-      s.corrupt_prob = rng.uniform(0.0, 0.01);
-      s.start = 0;
-      s.stop = horizon;
-      plan.add(s);
-    }
-    return plan;
-  }
-  fault::RandomPlanConfig rc;
-  rc.horizon = horizon;
-  return fault::make_random_plan(topo, plan_seed, rc);
-}
-
 CellResult run_cell(const AuditConfig& cfg, const std::string& policy,
                     std::uint64_t plan_seed) {
-  const sim::TimeNs warmup = sim::milliseconds(cfg.warmup_ms);
-  const sim::TimeNs measure = sim::milliseconds(cfg.duration_ms);
-  const sim::TimeNs stop = warmup + measure;
-
-  net::TopologyConfig topo = net::testbed_baseline();
-  topo.hosts_per_leaf = cfg.hosts;
-  const fault::FaultPlan plan = make_plan(cfg, topo, plan_seed, stop);
-
-  sim::Scheduler sched;
-  stats::TraceDigest trace;
-  sched.set_trace_hook([&trace](sim::TimeNs t, sim::EventId id) {
-    trace.add(static_cast<std::uint64_t>(t));
-    trace.add(id);
-  });
-
-  net::Fabric fabric(sched, topo, cfg.seed);
-  if (!lb_ext::install_policy(fabric, policy)) {
-    usage(("unknown policy: " + policy +
-           " (registered: " + lb_ext::policy_names() + ")")
-              .c_str());
+  workload::ExperimentConfig ec;
+  ec.topo = net::testbed_baseline();
+  ec.topo.hosts_per_leaf = cfg.hosts;
+  ec.dist = workload::enterprise();
+  ec.load = cfg.load;
+  ec.lb = lb_ext::make_policy(policy);
+  ec.spine_drill = lb_ext::find_policy(policy)->spine_drill;
+  ec.warmup = sim::milliseconds(cfg.warmup_ms);
+  ec.measure = sim::milliseconds(cfg.duration_ms);
+  ec.max_drain = sim::milliseconds(cfg.drain_ms);
+  ec.fabric_seed = cfg.seed;
+  ec.traffic_seed = cfg.seed * 31 + 7;
+  const sim::TimeNs horizon = ec.warmup + ec.measure;
+  if (cfg.profile == "gray") {
+    ec.faults = fault::make_gray_plan(ec.topo, plan_seed, horizon);
+  } else {
+    fault::RandomPlanConfig rc;
+    rc.horizon = horizon;
+    ec.faults = fault::make_random_plan(ec.topo, plan_seed, rc);
   }
+  ec.fault_seed = plan_seed;
 
   telemetry::TraceSinkConfig sink_cfg;
   sink_cfg.ring_capacity = 64;
   telemetry::TraceSink sink(sink_cfg);
-  fabric.attach_telemetry(&sink);
-
-  workload::TrafficGenConfig gc;
-  gc.load = cfg.load;
-  gc.stop = stop;
-  gc.measure_start = warmup;
-  gc.measure_stop = stop;
-  gc.seed = cfg.seed * 31 + 7;
-
-  workload::TrafficGenerator gen(fabric, tcp::make_tcp_flow_factory({}),
-                                 workload::enterprise(), gc);
   debug::WatchdogConfig wd_cfg;
   wd_cfg.horizon = sim::milliseconds(20);
   wd_cfg.poll_interval = sim::milliseconds(2);
-  debug::LivenessWatchdog watchdog(sched, wd_cfg);
+  stats::TraceDigest trace;
+
+  workload::Experiment exp(ec);
+  exp.scheduler().set_trace_hook([&trace](sim::TimeNs t, sim::EventId id) {
+    trace.add(static_cast<std::uint64_t>(t));
+    trace.add(id);
+  });
+  net::Fabric& fabric = exp.fabric();
+  fabric.attach_telemetry(&sink);
+  debug::LivenessWatchdog watchdog(exp.scheduler(), wd_cfg);
   watchdog.attach_telemetry(&sink);
-  gen.set_monitor(&watchdog);
-  gen.start();
+  exp.generator().set_monitor(&watchdog);
 
-  fault::FaultInjector injector(fabric, plan_seed);
-  injector.arm(plan);
-
+  const workload::ExperimentResult res = exp.run();
   CellResult r;
-  r.drained =
-      workload::run_with_drain(sched, gen, stop, sim::milliseconds(cfg.drain_ms));
-  if (!r.drained) gen.account_unfinished();
-
-  r.fct_digest = stats::fct_digest(gen.collector());
+  r.drained = res.drained;
+  r.fct_digest = res.fct_digest;
   r.trace_digest = trace.value();
-  r.flows = gen.collector().count();
-  r.unfinished = gen.collector().unfinished_count();
-  r.bytes_outstanding = gen.collector().bytes_outstanding();
+  r.flows = res.flows;
+  r.unfinished = res.unfinished_flows;
+  r.bytes_outstanding = res.bytes_outstanding;
   r.stalls = watchdog.stall_count();
-  r.transitions = injector.transitions();
+  r.transitions = exp.fault_transitions();
 
   auto check_link = [&r](const net::Link* link) {
     r.drops_queue += link->queue().stats().dropped_pkts;

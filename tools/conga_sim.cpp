@@ -1,7 +1,8 @@
 // conga_sim — command-line driver for the fabric simulator.
 //
-// Runs one experiment cell from flags and prints an FCT summary plus a
-// per-uplink utilization table, e.g.:
+// Runs one experiment cell (the workload::Experiment that run_fct_experiment,
+// campaign cells and the audits run) from flags and prints an FCT summary
+// plus a per-uplink utilization table, e.g.:
 //
 //   conga_sim --topology failure --lb conga --workload enterprise
 //             --load 0.6 --duration-ms 100
@@ -15,21 +16,21 @@
 //   --lb NAME                        any registered policy (ecmp, conga,
 //                                    conga-flow, spray, local, local-eq,
 //                                    weighted, letflow, drill, presto, hula)
-//   --workload enterprise|data-mining|web-search|fixed:BYTES
+//   --workload enterprise|datamining|websearch|fixed:BYTES
+//                                    (data-mining and web-search also accepted)
 //   --transport tcp|mptcp|dctcp      (dctcp implies --ecn-kb 100 default)
 //   --load F --duration-ms N --warmup-ms N --seed N --min-rto-ms N
 //   --subflows N (mptcp) --ecn-kb N --shared-buffer-mb N
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lb_ext/policies.hpp"
-#include "stats/samplers.hpp"
 #include "tcp/mptcp_connection.hpp"
 #include "workload/experiment.hpp"
-#include "workload/traffic_gen.hpp"
 
 using namespace conga;
 
@@ -117,16 +118,6 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-workload::FlowSizeDist make_dist(const std::string& name) {
-  if (name == "enterprise") return workload::enterprise();
-  if (name == "data-mining") return workload::data_mining();
-  if (name == "web-search") return workload::web_search();
-  if (name.rfind("fixed:", 0) == 0) {
-    return workload::fixed_size(std::atof(name.c_str() + 6));
-  }
-  usage(("unknown --workload: " + name).c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,24 +171,36 @@ int main(int argc, char** argv) {
     usage(("unknown --transport: " + o.transport).c_str());
   }
 
-  // Build + run, keeping the fabric around for the utilization report.
-  sim::Scheduler sched;
-  net::Fabric fabric(sched, topo, o.seed);
-  if (!lb_ext::install_policy(fabric, o.lb)) {
+  const lb_ext::PolicyInfo* policy = lb_ext::find_policy(o.lb);
+  if (policy == nullptr) {
     usage(("unknown --lb: " + o.lb +
            " (registered: " + lb_ext::policy_names() + ")")
               .c_str());
   }
-  workload::TrafficGenConfig gc;
-  gc.load = o.load;
-  gc.stop = sim::milliseconds(o.warmup_ms + o.duration_ms);
-  gc.measure_start = sim::milliseconds(o.warmup_ms);
-  gc.measure_stop = gc.stop;
-  gc.seed = o.seed * 31 + 7;
-  workload::TrafficGenerator gen(fabric, transport, make_dist(o.workload), gc);
-  gen.start();
-  const bool drained =
-      workload::run_with_drain(sched, gen, gc.stop, sim::seconds(5.0));
+  std::optional<workload::FlowSizeDist> dist =
+      workload::dist_by_name(o.workload);
+  if (!dist) {
+    usage(("unknown --workload: " + o.workload + " (" +
+           workload::kDistNames + ")")
+              .c_str());
+  }
+
+  workload::ExperimentConfig cfg;
+  cfg.topo = topo;
+  cfg.dist = std::move(*dist);
+  cfg.load = o.load;
+  cfg.transport = std::move(transport);
+  cfg.lb = lb_ext::make_policy(o.lb);
+  cfg.spine_drill = policy->spine_drill;
+  cfg.warmup = sim::milliseconds(o.warmup_ms);
+  cfg.measure = sim::milliseconds(o.duration_ms);
+  cfg.max_drain = sim::seconds(5.0);
+  cfg.fabric_seed = o.seed;
+  cfg.traffic_seed = o.seed * 31 + 7;
+  // Kept past run() for the utilization report.
+  workload::Experiment exp(cfg);
+  const workload::ExperimentResult r = exp.run();
+  net::Fabric& fabric = exp.fabric();
 
   std::printf("topology %s: %d leaves x %d spines x %d links, %d hosts/leaf",
               o.topology.c_str(), topo.num_leaves, topo.num_spines,
@@ -210,18 +213,18 @@ int main(int argc, char** argv) {
               o.lb.c_str(), o.transport.c_str(), o.workload.c_str(),
               o.load * 100, o.duration_ms);
 
-  const auto& c = gen.collector();
-  std::printf("flows measured:        %zu (%s)\n", c.count(),
-              drained ? "all completed" : "NOT all completed before drain cap");
-  std::printf("avg FCT / optimal:     %.2f\n", c.avg_normalized_fct());
-  std::printf("median FCT / optimal:  %.2f\n", c.median_normalized_fct());
-  std::printf("p99 FCT / optimal:     %.2f\n", c.p99_normalized_fct());
-  std::printf("avg FCT small flows:   %.1f us\n", c.avg_fct_small() * 1e6);
-  std::printf("avg FCT large flows:   %.1f ms\n", c.avg_fct_large() * 1e3);
+  std::printf("flows measured:        %zu (%s)\n", r.flows,
+              r.drained ? "all completed"
+                        : "NOT all completed before drain cap");
+  std::printf("avg FCT / optimal:     %.2f\n", r.avg_norm_fct);
+  std::printf("median FCT / optimal:  %.2f\n", r.median_norm_fct);
+  std::printf("p99 FCT / optimal:     %.2f\n", r.p99_norm_fct);
+  std::printf("avg FCT small flows:   %.1f us\n", r.avg_fct_small * 1e6);
+  std::printf("avg FCT large flows:   %.1f ms\n", r.avg_fct_large * 1e3);
 
   std::printf("\nper-leaf uplink utilization (delivered bits / capacity, "
               "whole run):\n");
-  const double secs = sim::to_seconds(sched.now());
+  const double secs = sim::to_seconds(exp.scheduler().now());
   for (int l = 0; l < fabric.num_leaves(); ++l) {
     std::printf("  leaf%-3d", l);
     for (const auto& up : fabric.leaf(l).uplinks()) {

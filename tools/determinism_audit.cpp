@@ -8,7 +8,9 @@
 // iteration shows up as a digest mismatch; exit status 1 makes it a CI gate.
 //
 // The default scenario is the fig09 enterprise-workload cell (baseline
-// testbed topology, CONGA, 60% load) scaled to run in seconds.
+// testbed topology, CONGA, 60% load) scaled to run in seconds. Each run is
+// the workload::Experiment that run_fct_experiment and campaign cells run,
+// digested by debug::run_digest_trial with a full telemetry sink attached.
 //
 // Flags:
 //   --seed N          fabric seed (traffic seed is derived)   [default 1]
@@ -17,8 +19,11 @@
 //   --warmup-ms N     warmup before measurement               [default 5]
 //   --hosts N         hosts per leaf                          [default 8]
 //   --load F          offered load                            [default 0.6]
-//   --lb NAME         ecmp|conga|conga-flow|spray|local       [default conga]
-//   --workload NAME   enterprise|data-mining|web-search       [default enterprise]
+//   --lb NAME         any registered policy (ecmp, conga, ...,
+//                     drill, hula; see lb_ext/policies.hpp)   [default conga]
+//   --workload NAME   enterprise|datamining|websearch|fixed:BYTES
+//                     (data-mining, web-search also accepted)
+//                                                             [default enterprise]
 //   --jobs N          parallel-grid mode (see below)          [default 0 = off]
 //
 // Parallel-grid mode (--jobs N, N >= 2): instead of repeating one scenario,
@@ -30,12 +35,13 @@
 // TSan report in the sanitizer lane).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "debug/determinism.hpp"
-#include "lb/factories.hpp"
+#include "lb_ext/policies.hpp"
 #include "runtime/parallel_runner.hpp"
 
 using namespace conga;
@@ -50,24 +56,9 @@ namespace {
   std::exit(2);
 }
 
-net::Fabric::LbFactory make_lb(const std::string& name) {
-  if (name == "ecmp") return lb::ecmp();
-  if (name == "conga") return core::conga();
-  if (name == "conga-flow") return core::conga_flow();
-  if (name == "spray") return lb::spray();
-  if (name == "local") return lb::local_aware();
-  usage(("unknown --lb: " + name).c_str());
-}
-
-workload::FlowSizeDist make_dist(const std::string& name) {
-  if (name == "enterprise") return workload::enterprise();
-  if (name == "data-mining") return workload::data_mining();
-  if (name == "web-search") return workload::web_search();
-  usage(("unknown --workload: " + name).c_str());
-}
-
 /// Parallel-grid gate: per-cell digests must not depend on the jobs count.
-int run_parallel_grid_audit(const debug::DigestScenario& base, int jobs) {
+int run_parallel_grid_audit(const workload::ExperimentConfig& base,
+                            int jobs) {
   struct Cell {
     double load;
     std::uint64_t seed;
@@ -80,7 +71,7 @@ int run_parallel_grid_audit(const debug::DigestScenario& base, int jobs) {
   }
 
   auto run_cell = [&](std::size_t i) {
-    debug::DigestScenario s = base;
+    workload::ExperimentConfig s = base;
     s.load = cells[i].load;
     s.fabric_seed = cells[i].seed;
     s.traffic_seed = cells[i].seed * 31 + 7;
@@ -169,11 +160,26 @@ int main(int argc, char** argv) {
   }
   if (runs < 2) usage("--runs must be >= 2");
 
-  debug::DigestScenario s;
+  const lb_ext::PolicyInfo* policy = lb_ext::find_policy(lb);
+  if (policy == nullptr) {
+    usage(("unknown --lb: " + lb + " (registered: " +
+           lb_ext::policy_names() + ")")
+              .c_str());
+  }
+  std::optional<workload::FlowSizeDist> dist =
+      workload::dist_by_name(workload_name);
+  if (!dist) {
+    usage(("unknown --workload: " + workload_name + " (" +
+           workload::kDistNames + ")")
+              .c_str());
+  }
+
+  workload::ExperimentConfig s;
   s.topo = net::testbed_baseline();
   s.topo.hosts_per_leaf = hosts;
-  s.lb = make_lb(lb);
-  s.dist = make_dist(workload_name);
+  s.lb = lb_ext::make_policy(lb);
+  s.spine_drill = policy->spine_drill;
+  s.dist = std::move(*dist);
   s.load = load;
   s.warmup = sim::milliseconds(warmup_ms);
   s.measure = sim::milliseconds(duration_ms);
