@@ -129,6 +129,8 @@ void BM_CongaSelectCached(benchmark::State& state) {
 }
 BENCHMARK(BM_CongaSelectCached);
 
+// One schedule plus one dispatch on an otherwise empty queue: the
+// callback is built in its slot and run there, and the heap is one node.
 void BM_SchedulerScheduleDispatch(benchmark::State& state) {
   sim::Scheduler sched;
   sim::TimeNs t = 0;
@@ -191,6 +193,8 @@ void BM_ScheduleCancelChurnBacklog1k(benchmark::State& state) {
 BENCHMARK(BM_ScheduleCancelChurnBacklog1k);
 
 // Dispatch against a standing backlog so sift operations have real depth.
+// The event is scheduled from outside any callback, so each iteration is a
+// push (sift-up) plus a pop (sift-down), not a replace-top.
 void BM_SchedulerDispatchDepth1k(benchmark::State& state) {
   sim::Scheduler sched;
   for (int i = 0; i < 1000; ++i) {
@@ -203,6 +207,36 @@ void BM_SchedulerDispatchDepth1k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerDispatchDepth1k);
+
+// The simulator's steady state: each dispatched event schedules one
+// successor (a link's tx-complete or delivery does) over 300 standing
+// events, the peak pending count of perfbench's enterprise cell. The
+// successor takes over the running event's root (replace-top: one
+// sift-down), and successor delays are spread so it sinks to varying
+// depths. stop() makes each run() dispatch exactly one event.
+struct Reschedule {
+  sim::Scheduler* sched;
+  std::uint64_t* rng;
+  void operator()() const {
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    sched->schedule_after(1000 + static_cast<sim::TimeNs>(*rng % 4096),
+                          *this);
+    sched->stop();
+  }
+};
+
+void BM_SchedulerRescheduleDepth300(benchmark::State& state) {
+  sim::Scheduler sched;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 300; ++i) {
+    sched.schedule_at(i * 17, Reschedule{&sched, &rng});
+  }
+  for (auto _ : state) sched.run();
+  benchmark::DoNotOptimize(sched.events_dispatched());
+}
+BENCHMARK(BM_SchedulerRescheduleDepth300);
 
 // Steady-state packet cost: each iteration acquires from and releases to
 // the thread-local pool — no allocator traffic after the first chunk.

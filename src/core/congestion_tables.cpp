@@ -91,21 +91,21 @@ CongestionFromLeafTable::pick_feedback(net::LeafId dst_leaf, sim::TimeNs now) {
   auto take = [&](int i) -> Feedback {
     MetricCell& c = row[i];
     c.changed = false;
-    cursor = (i + 1) % n;
+    cursor = i + 1 == n ? 0 : i + 1;
     return Feedback{static_cast<std::uint8_t>(i),
                     aged_value(c, now, cfg_.age_after)};
   };
 
-  // First pass: the next *changed* entry in round-robin order.
+  // Both passes walk round-robin from the cursor (always in [0, n)),
+  // wrapping with a compare rather than a per-step `% n`.
+  // First pass: the next *changed* entry.
   if (cfg_.favor_changed) {
-    for (int k = 0; k < n; ++k) {
-      const int i = (cursor + k) % n;
+    for (int k = 0, i = cursor; k < n; ++k, i = i + 1 == n ? 0 : i + 1) {
       if (row[i].updated >= 0 && row[i].changed) return take(i);
     }
   }
-  // Otherwise: the next ever-written entry in round-robin order.
-  for (int k = 0; k < n; ++k) {
-    const int i = (cursor + k) % n;
+  // Otherwise: the next ever-written entry.
+  for (int k = 0, i = cursor; k < n; ++k, i = i + 1 == n ? 0 : i + 1) {
     if (row[i].updated >= 0) return take(i);
   }
   return std::nullopt;

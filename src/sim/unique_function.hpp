@@ -9,8 +9,12 @@
 // pooled PacketPtr for packet delivery — never touch the allocator. Larger
 // or throwing-move callables fall back to the heap exactly like the old
 // unique_ptr<Base> implementation. Type erasure is a hand-rolled ops table
-// (call / relocate / destroy) instead of a virtual base, which also lets the
-// wrapper be relocated into a scheduler slot with one indirect call.
+// (call / relocate / destroy) instead of a virtual base.
+//
+// emplace() builds a callable directly in an existing wrapper. The
+// scheduler uses it to construct each event's callable in the slot it will
+// run from, so a scheduled lambda is never relocated at all: it is built in
+// place, called in place and destroyed in place.
 #pragma once
 
 #include <cstddef>
@@ -35,14 +39,7 @@ class UniqueFunction {
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, UniqueFunction>>>
   UniqueFunction(F&& f) {  // NOLINT(google-explicit-constructor): callable wrapper
-    using D = std::decay_t<F>;
-    if constexpr (kInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &InlineHandler<D>::ops;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapHandler<D>::ops;
-    }
+    construct(std::forward<F>(f));
   }
 
   UniqueFunction(UniqueFunction&& other) noexcept {
@@ -69,6 +66,28 @@ class UniqueFunction {
   UniqueFunction& operator=(const UniqueFunction&) = delete;
 
   ~UniqueFunction() { reset(); }
+
+  /// Replaces the held callable (if any) with one built in place from `f`.
+  /// A UniqueFunction rvalue is taken over by one relocation.
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, UniqueFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "emplace takes a UniqueFunction only as an rvalue");
+      *this = std::move(f);
+    } else {
+      reset();
+      construct(std::forward<F>(f));
+    }
+  }
+
+  /// Destroys the held callable, if any.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
 
   void operator()() { ops_->call(buf_); }
 
@@ -113,10 +132,17 @@ class UniqueFunction {
     static constexpr Ops ops{&call, &relocate, &destroy};
   };
 
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
+  /// Builds `f` into the (empty) buffer. ops_ is set last, so a throwing
+  /// constructor leaves the wrapper empty.
+  template <typename F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (kInline<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &InlineHandler<D>::ops;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &HeapHandler<D>::ops;
     }
   }
 

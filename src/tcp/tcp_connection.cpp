@@ -81,13 +81,37 @@ void TcpSender::emit_segment(std::uint64_t seq, std::uint32_t len) {
   local_.send(std::move(pkt));
 }
 
+TcpSender::SackBoard::const_iterator TcpSender::first_sack_ending_after(
+    std::uint64_t x) const {
+  // Entries are disjoint and sorted, so only the one starting at or below
+  // `x` can still reach past it.
+  auto it = sacked_.upper_bound(x);
+  if (it != sacked_.begin() && std::prev(it)->second > x) --it;
+  return it;
+}
+
 std::uint64_t TcpSender::sacked_bytes_in(std::uint64_t from,
                                          std::uint64_t to) const {
   std::uint64_t total = 0;
-  for (const auto& [start, end] : sacked_) {
-    if (end <= from) continue;
-    if (start >= to) break;
-    total += std::min(end, to) - std::max(start, from);
+  for (auto it = first_sack_ending_after(from);
+       it != sacked_.end() && it->first < to; ++it) {
+    total += std::min(it->second, to) - std::max(it->first, from);
+  }
+  return total;
+}
+
+std::uint64_t TcpSender::sacked_in_flight() const {
+  // The running total minus what lies outside [snd_una_, snd_nxt_): after
+  // the cumulative-ACK prune at most one entry reaches below snd_una_, and
+  // entries above snd_nxt_ exist only after a go-back-N reset.
+  std::uint64_t total = sacked_total_;
+  for (auto it = sacked_.begin(); it != sacked_.end() && it->first < snd_una_;
+       ++it) {
+    total -= std::min(it->second, snd_una_) - it->first;
+  }
+  for (auto it = sacked_.rbegin();
+       it != sacked_.rend() && it->second > snd_nxt_; ++it) {
+    total -= it->second - std::max(it->first, snd_nxt_);
   }
   return total;
 }
@@ -96,8 +120,8 @@ bool TcpSender::find_unsacked_gap(std::uint64_t from, std::uint64_t limit,
                                   std::uint64_t* gap_start,
                                   std::uint64_t* gap_len) const {
   std::uint64_t cursor = from;
-  for (const auto& [start, end] : sacked_) {
-    if (end <= cursor) continue;
+  for (auto it = first_sack_ending_after(from); it != sacked_.end(); ++it) {
+    const auto& [start, end] = *it;
     if (start >= limit) break;
     if (start > cursor) {
       *gap_start = cursor;
@@ -119,7 +143,7 @@ double TcpSender::pipe_bytes() const {
   // retransmission scan has not re-sent yet (bytes below rtx_next_ were just
   // retransmitted, so they count as in flight again).
   const std::uint64_t out = snd_nxt_ - snd_una_;
-  const std::uint64_t sacked = sacked_bytes_in(snd_una_, snd_nxt_);
+  const std::uint64_t sacked = sacked_in_flight();
   const std::uint64_t scan_from = std::max(rtx_next_, snd_una_);
   std::uint64_t lost_unsent = 0;
   if (fack_ > scan_from) {
@@ -195,9 +219,11 @@ void TcpSender::apply_sack(const net::TcpHeader& hdr) {
     }
     while (it != sacked_.end() && it->first <= end) {
       end = std::max(end, it->second);
+      sacked_total_ -= it->second - it->first;
       it = sacked_.erase(it);
     }
     sacked_[start] = end;
+    sacked_total_ += end - start;
   }
 }
 
@@ -329,6 +355,7 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
     fack_ = std::max(fack_, snd_una_);
     // Prune the scoreboard below the cumulative ACK.
     while (!sacked_.empty() && sacked_.begin()->second <= snd_una_) {
+      sacked_total_ -= sacked_.begin()->second - sacked_.begin()->first;
       sacked_.erase(sacked_.begin());
     }
     dup_acks_ = 0;
@@ -394,7 +421,7 @@ void TcpSender::handle_ack(const net::TcpHeader& hdr, bool ecn_echo) {
       static_cast<std::uint64_t>(cfg_.dupack_segments) * mss();
   if (cfg_.sack && !sack_recovery_ && flight() > 0 && fack_ > snd_una_ &&
       (fack_ - snd_una_ > dup_bytes ||
-       (fack_ == snd_nxt_ && sacked_bytes_in(snd_una_, snd_nxt_) > 0))) {
+       (fack_ == snd_nxt_ && sacked_in_flight() > 0))) {
     enter_sack_recovery();
   }
 
@@ -416,6 +443,7 @@ void TcpSender::on_rto() {
   in_recovery_ = false;
   sack_recovery_ = false;
   sacked_.clear();  // conservative: rebuild the scoreboard from fresh ACKs
+  sacked_total_ = 0;
   fack_ = snd_una_;
   rtx_next_ = snd_una_;
   dup_acks_ = 0;

@@ -114,7 +114,12 @@ class TcpSender {
   // SACK/FACK machinery (cfg.sack == true).
   void apply_sack(const net::TcpHeader& hdr);
   void enter_sack_recovery();
+  using SackBoard = std::map<std::uint64_t, std::uint64_t>;
+  /// The first scoreboard entry whose end lies above `x`.
+  SackBoard::const_iterator first_sack_ending_after(std::uint64_t x) const;
   std::uint64_t sacked_bytes_in(std::uint64_t from, std::uint64_t to) const;
+  /// sacked_bytes_in(snd_una_, snd_nxt_), from the running total.
+  std::uint64_t sacked_in_flight() const;
   /// First unsacked gap in [from, limit); false if none.
   bool find_unsacked_gap(std::uint64_t from, std::uint64_t limit,
                          std::uint64_t* gap_start,
@@ -152,7 +157,8 @@ class TcpSender {
   std::uint64_t dctcp_marked_ = 0;
 
   // SACK scoreboard: merged received-above-cumulative ranges [start, end).
-  std::map<std::uint64_t, std::uint64_t> sacked_;
+  SackBoard sacked_;
+  std::uint64_t sacked_total_ = 0;  ///< sum of the entries' lengths
   std::uint64_t fack_ = 0;      ///< forward-most SACKed byte
   std::uint64_t rtx_next_ = 0;  ///< retransmission scan pointer (per epoch)
   bool sack_recovery_ = false;

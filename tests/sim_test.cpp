@@ -1,10 +1,13 @@
 // Tests for the discrete-event scheduler and RNG utilities.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -263,7 +266,10 @@ TEST(Scheduler, CancelledHeadSkippedByRunUntil) {
 // random: schedules at clustered times (so equal-time ties are common, and
 // some times lie in the past), cancels of live, fired, already-cancelled
 // and forged ids, cancels and schedules from inside running callbacks
-// (including cancelling the next head), and run_until windows.
+// (including cancelling the next head), and run_until windows. A callback
+// schedules 0, 1 or several events, some at the current time: the first
+// takes over the running event's dead root (replace-top) and the rest are
+// pushed; with none, the dead root is popped after the callback returns.
 class SchedulerModelCheck {
  public:
   explicit SchedulerModelCheck(std::uint64_t seed) : rng_(seed) {
@@ -294,15 +300,19 @@ class SchedulerModelCheck {
 
   std::uint64_t fired() const { return fired_; }
   std::uint64_t cancelled() const { return cancelled_; }
+  std::uint64_t fired_scheduling_none() const { return bursts_[0]; }
+  std::uint64_t fired_scheduling_one() const { return bursts_[1]; }
+  std::uint64_t fired_scheduling_several() const { return bursts_[2]; }
 
  private:
   using Key = std::pair<TimeNs, std::uint64_t>;  // (time, seq)
 
-  void schedule() {
+  void schedule(bool at_now = false) {
     // Times cluster on a 5 ns grid a few steps ahead; one in ten lies in
     // the past and must clamp to now().
     TimeNs t = sched_.now() + 5 * rng_.uniform_int(0, 4);
     if (rng_.chance(0.1)) t = sched_.now() - 3;
+    if (at_now) t = sched_.now();
     const std::uint64_t seq = next_seq_++;
     const EventId id = sched_.schedule_at(t, [this, seq] { on_fire(seq); });
     const Key key{t < sched_.now() ? sched_.now() : t, seq};
@@ -353,13 +363,16 @@ class SchedulerModelCheck {
     ids_.erase(it);
     live_.erase(head);
     ++fired_;
-    // Re-enter from inside the running callback.
-    const double act = rng_.uniform();
-    if (act < 0.15) {
-      cancel_something();
-    } else if (act < 0.3) {
-      schedule();
-    }
+    // Re-enter from inside the running callback: maybe cancel something
+    // (possibly the next head), then schedule 0, 1 or 2-3 events, a third
+    // of them at now(). The mean brood stays below one, so run() ends.
+    if (rng_.uniform() < 0.15) cancel_something();
+    const double brood = rng_.uniform();
+    const int n = brood < 0.5 ? 0 : brood < 0.85 ? 1
+                                                 : 2 + static_cast<int>(
+                                                           rng_.index(2));
+    ++bursts_[static_cast<std::size_t>(n < 2 ? n : 2)];
+    for (int k = 0; k < n; ++k) schedule(rng_.chance(0.33));
   }
 
   Scheduler sched_;
@@ -371,6 +384,7 @@ class SchedulerModelCheck {
   std::uint64_t hooked_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::array<std::uint64_t, 3> bursts_{};  // fires that scheduled 0, 1, 2+
 };
 
 TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
@@ -382,7 +396,128 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
     // The mix must actually exercise both paths.
     EXPECT_GT(check.fired(), 1000u);
     EXPECT_GT(check.cancelled(), 1000u);
+    // ... and every way a callback can leave its dead root.
+    EXPECT_GT(check.fired_scheduling_none(), 500u);
+    EXPECT_GT(check.fired_scheduling_one(), 500u);
+    EXPECT_GT(check.fired_scheduling_several(), 200u);
   }
+}
+
+// A callback that schedules enough events to add several arena chunks while
+// it runs must keep running in its own (unmoved) slot: its captures stay
+// readable after the growth. Under ASan a moved or freed slot would trap.
+TEST(Scheduler, CallbackGrowsArenaWhileRunning) {
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<int> seen_after;
+  sched.schedule_at(1, [&sched, &fired, &seen_after,
+                        tag = std::make_unique<int>(7),
+                        text = std::string(40, 'x')] {
+    for (int i = 0; i < 1000; ++i) {
+      sched.schedule_at(sched.now() + 1000 - i, [&fired, i] {
+        fired.push_back(i);
+      });
+    }
+    seen_after.push_back(*tag);
+    seen_after.push_back(static_cast<int>(text.size()));
+  });
+  sched.run();
+  EXPECT_EQ(seen_after, (std::vector<int>{7, 40}));
+  ASSERT_EQ(fired.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i)], 999 - i);
+  }
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+// An exception escaping a callback leaves run() with the scheduler
+// consistent: the thrower's payload is destroyed, its id is stale,
+// pending() counts exactly the other events, and a later run() dispatches
+// them in (time, seq) order — whether the thrower had already replaced its
+// dead root with a new event or had scheduled nothing.
+TEST(Scheduler, ThrowingCallbackLeavesSchedulerConsistent) {
+  for (const bool schedule_first : {false, true}) {
+    SCOPED_TRACE(schedule_first);
+    Scheduler sched;
+    std::vector<int> fired;
+    sched.schedule_at(5, [&fired] { fired.push_back(1); });
+    auto payload = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = payload;
+    EventId thrower = kInvalidEventId;
+    thrower = sched.schedule_at(10, [&, p = std::move(payload)] {
+      fired.push_back(2);
+      sched.cancel(thrower);  // self-cancel: a no-op
+      if (schedule_first) {
+        sched.schedule_at(10, [&fired] { fired.push_back(3); });
+      }
+      throw std::runtime_error("callback failed");
+    });
+    sched.schedule_at(10, [&fired] { fired.push_back(4); });
+    sched.schedule_at(20, [&fired] { fired.push_back(5); });
+    EXPECT_THROW(sched.run(), std::runtime_error);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(sched.now(), 10);
+    EXPECT_EQ(sched.events_dispatched(), 2u);
+    EXPECT_EQ(sched.pending(), schedule_first ? 3u : 2u);
+    sched.cancel(thrower);  // fired: a no-op
+    EXPECT_EQ(sched.pending(), schedule_first ? 3u : 2u);
+    sched.run();
+    EXPECT_EQ(sched.pending(), 0u);
+    EXPECT_EQ(fired, schedule_first ? (std::vector<int>{1, 2, 4, 3, 5})
+                                    : (std::vector<int>{1, 2, 4, 5}));
+  }
+}
+
+// A callback may drive the scheduler itself: a run_until() nested in an
+// event dispatches the later events in order, never the running event
+// (whose node is still at the heap root) a second time.
+TEST(Scheduler, RunNestedInCallbackDispatchesInOrder) {
+  Scheduler sched;
+  std::vector<int> fired;
+  sched.schedule_at(10, [&] {
+    fired.push_back(1);
+    sched.run_until(15);
+    fired.push_back(3);
+  });
+  sched.schedule_at(12, [&fired] { fired.push_back(2); });
+  sched.schedule_at(20, [&fired] { fired.push_back(4); });
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sched.events_dispatched(), 3u);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+template <typename F>
+concept Schedulable = requires(Scheduler& s, F&& f) {
+  s.schedule_at(TimeNs{0}, std::forward<F>(f));
+};
+
+// Lvalue callables are copied into the event, never moved from; an lvalue
+// Callback does not compile at all (it could only be moved from), while a
+// Callback rvalue is taken over.
+TEST(Scheduler, LvalueCallablesAreCopiedNotMoved) {
+  static_assert(!Schedulable<Scheduler::Callback&>);
+  static_assert(!Schedulable<const Scheduler::Callback&>);
+  static_assert(Schedulable<Scheduler::Callback>);
+
+  Scheduler sched;
+  auto payload = std::make_shared<int>(9);
+  int seen = 0;
+  auto fn = [payload, &seen] { seen += *payload; };
+  static_assert(Schedulable<decltype(fn)&>);
+  sched.schedule_at(1, fn);
+  sched.schedule_after(2, fn);
+  EXPECT_EQ(payload.use_count(), 4);  // ours, fn's and the two events'
+  fn();  // fn still holds its capture
+  EXPECT_EQ(seen, 9);
+  sched.run();
+  EXPECT_EQ(seen, 27);
+  EXPECT_EQ(payload.use_count(), 2);
+
+  Scheduler::Callback cb([&seen] { seen = -1; });
+  sched.schedule_after(1, std::move(cb));
+  sched.run();
+  EXPECT_EQ(seen, -1);
 }
 
 // A payload whose destructor re-enters the scheduler: it cancels its own
